@@ -96,19 +96,13 @@ class Aal5Segmenter:
     def segment(self, sdu: bytes, uu: int = 0, cpi: int = 0) -> List[AtmCell]:
         """SDU -> list of cells; the final cell carries the PTI EOF mark."""
         pdu = build_cpcs_pdu(sdu, uu=uu, cpi=cpi)
-        cells: List[AtmCell] = []
-        n_cells = len(pdu) // PAYLOAD_SIZE
-        for i in range(n_cells):
-            chunk = pdu[i * PAYLOAD_SIZE : (i + 1) * PAYLOAD_SIZE]
-            last = i == n_cells - 1
-            cells.append(
-                AtmCell(
-                    vpi=self.vc.vpi,
-                    vci=self.vc.vci,
-                    payload=chunk,
-                    pti=PTI_USER_SDU1 if last else PTI_USER_SDU0,
-                )
-            )
+        vpi, vci = self.vc.vpi, self.vc.vci
+        last = len(pdu) - PAYLOAD_SIZE
+        cells: List[AtmCell] = [
+            AtmCell(vpi, vci, pdu[i : i + PAYLOAD_SIZE], PTI_USER_SDU0)
+            for i in range(0, last, PAYLOAD_SIZE)
+        ]
+        cells.append(AtmCell(vpi, vci, pdu[last:], PTI_USER_SDU1))
         self.pdus_segmented += 1
         self.cells_produced += len(cells)
         return cells
@@ -200,26 +194,27 @@ class Aal5Reassembler:
         """Consume one cell; returns the SDU indication on completion."""
         vc = VcAddress(cell.vpi, cell.vci)
         self.stats.cells_consumed += 1
-        partial = self._partial.get(vc)
+        contexts = self._partial
+        partial = contexts.get(vc)
         if partial is None:
             if (
                 self.max_contexts is not None
-                and len(self._partial) >= self.max_contexts
+                and len(contexts) >= self.max_contexts
             ):
                 self._evict_oldest()
             partial = _PartialPdu(started_at=now)
-            self._partial[vc] = partial
+            contexts[vc] = partial
         partial.chunks.append(cell.payload)
-        partial.cells += 1
+        cells = partial.cells = partial.cells + 1
 
-        if partial.cells > self.max_cells:
-            del self._partial[vc]
-            self._discarded(vc, ReassemblyFailure.OVERSIZE, partial.cells)
+        if cells > self.max_cells:
+            del contexts[vc]
+            self._discarded(vc, ReassemblyFailure.OVERSIZE, cells)
             return None
         if not cell.end_of_frame:
             return None
 
-        del self._partial[vc]
+        del contexts[vc]
         pdu = b"".join(partial.chunks)
         try:
             sdu, uu, _cpi = parse_cpcs_pdu(pdu)

@@ -158,7 +158,7 @@ class PhysicalLink:
         finished = Event(self.sim)
         finished._state = Event._TRIGGERED
         finished._value = cell
-        self.sim._schedule(done - now, finished)
+        self.sim._schedule_at(now + (done - now), finished)
         return finished
 
     def send_burst(self, burst: CellBurst) -> Event:

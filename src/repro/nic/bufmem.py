@@ -114,8 +114,22 @@ class AdaptorBufferMemory:
         return True
 
     def grow(self, owner: Hashable, cells: int = 1) -> bool:
-        """Extend an owner's allocation (a reassembly absorbing a cell)."""
-        return self.allocate(owner, cells)
+        """Extend an owner's allocation (a reassembly absorbing a cell).
+
+        Same checks and ledger updates as :meth:`allocate`, written out
+        because the receive engine calls this once per cell.
+        """
+        if cells < 0:
+            raise ValueError("negative allocation")
+        used = self._used_cells + cells
+        if used > self.spec.capacity_cells:
+            self.allocation_failures += 1
+            return False
+        allocated = self._allocated
+        allocated[owner] = allocated.get(owner, 0) + cells
+        self._used_cells = used
+        self.occupancy.record(self.sim.now, used)
+        return True
 
     def release(self, owner: Hashable) -> int:
         """Free everything held by *owner*; returns the cell count."""

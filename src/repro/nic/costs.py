@@ -32,6 +32,11 @@ class CellPosition(enum.Enum):
     LAST = "last"
     ONLY = "only"  #: single-cell PDU: both first- and last-cell work
 
+    # Members are singletons compared by identity, so hash by identity
+    # too: Enum's default hashes the name in Python, and the engines'
+    # cycle memos look a position up once per cell.
+    __hash__ = object.__hash__
+
     @classmethod
     def of(cls, index: int, total: int) -> "CellPosition":
         """Position of cell *index* (0-based) in a *total*-cell PDU."""

@@ -172,7 +172,6 @@ class HostNetworkInterface:
             name=f"{name}.rx",
         )
         self.rx_engine.on_completion = self._on_completion
-        self.rx_engine.on_context_activity = self._touch_context
         self.rx_engine.on_context_evicted = self._evicted_context
         self.rx_engine.on_oam = self._handle_oam
         self._oam_pending: Dict[int, Tuple[Event, float]] = {}
@@ -199,6 +198,8 @@ class HostNetworkInterface:
             on_expire=self._expire_context,
             name=f"{name}.timers",
         )
+        # Every absorbed cell slides its context's reassembly deadline.
+        self.rx_engine.on_context_activity = self.reassembly_timers.touch
 
         #: User callback: invoked with each RxCompletion after the host
         #: OS receive path has run.
@@ -462,9 +463,6 @@ class HostNetworkInterface:
     def _peak_rate_of(self, address: VcAddress):
         vc = self.vc_table.lookup(address)
         return vc.peak_rate_bps if vc is not None else None
-
-    def _touch_context(self, vc: VcAddress) -> None:
-        self.reassembly_timers.touch(vc)
 
     def _expire_context(self, vc: VcAddress) -> None:
         self.rx_engine.expire_context(vc)

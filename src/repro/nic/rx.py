@@ -502,24 +502,37 @@ class RxEngine:
         clock = self.clock
         sim = self.sim
         charge_at = clock.charge_at
-        count_cell = self.cells_received.increment
         profiler = self.profiler
         trace = self.trace
         cam = self.cam
         vc_table = self.vc_table
         cam_fitted = self.cam_fitted
         glue = self.glue
+        has_context = glue.has_context
+        is_eof = glue.is_eof
         rx_extra = glue.rx_extra_cycles
         bufmem = self.bufmem
-        receive_cell = self.reassembler.receive_cell
+        reassembler = self.reassembler
+        receive_cell = reassembler.receive_cell
         on_context_activity = self.on_context_activity
+        on_user_cell = self.on_user_cell
+        first, middle, last, only = (
+            CellPosition.FIRST,
+            CellPosition.MIDDLE,
+            CellPosition.LAST,
+            CellPosition.ONLY,
+        )
         end = sim.now + clock.take_stall()
+        # The replay serves the whole burst now, at pop time.
+        self.cells_received.increment(len(burst.cells))
+        vc = None
         for cell, available in zip(burst.cells, burst.arrivals):
             start = end if end > available else available
-            count_cell()
-            vc = VcAddress(cell.vpi, cell.vci)
+            # A run of one VC's cells shares one address object.
+            if vc is None or cell.vci != vc.vci or cell.vpi != vc.vpi:
+                vc = VcAddress(cell.vpi, cell.vci)
 
-            if not cell.is_user_cell:
+            if cell.pti & 0b100:  # not cell.is_user_cell
                 if profiler is not None:
                     profiler.record_oam(costs.oam_breakdown())
                 end = start + charge_at(
@@ -576,7 +589,11 @@ class RxEngine:
                     )
                 continue
 
-            position = self._position_of(vc, cell)
+            # _position_of, inlined.
+            if has_context(reassembler, vc):
+                position = last if is_eof(cell) else middle
+            else:
+                position = only if is_eof(cell) else first
             if profiler is not None:
                 profiler.record_cell(
                     "rx",
@@ -598,8 +615,8 @@ class RxEngine:
                     position=position.value,
                     ts=end,
                 )
-            if self.on_user_cell is not None:
-                self.on_user_cell(cell)
+            if on_user_cell is not None:
+                on_user_cell(cell)
 
             if not bufmem.grow(("rx", vc), 1):
                 self.cells_no_buffer.increment()
@@ -614,7 +631,7 @@ class RxEngine:
                 if (
                     self.discard is not None
                     and self.discard.ppd
-                    and not glue.is_eof(cell)
+                    and not is_eof(cell)
                     and vc in self._mid_frame
                     and vc not in self._discarding
                 ):
@@ -623,9 +640,9 @@ class RxEngine:
                 continue
             bufmem.record_write(PAYLOAD_SIZE)
 
-            indication = receive_cell(cell, now=end)
+            indication = receive_cell(cell, end)
             if indication is None:
-                if glue.has_context(self.reassembler, vc):
+                if has_context(reassembler, vc):
                     if on_context_activity is not None:
                         on_context_activity(vc)
                 else:

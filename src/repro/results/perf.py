@@ -7,8 +7,9 @@ experiments report.  P1 measures both halves of that contract on
 F3/F6-class receive workloads:
 
 - **speedup** -- wall-clock time of the scalar reference path over the
-  fast path for the same experiment call (best-of-*repeats* per
-  variant, so scheduler noise shortens neither side unfairly);
+  fast path for the same experiment call: the median of *pairs*
+  interleaved per-pair ratios, so a noisy stretch of host time lands
+  on both lanes of a pair and moves the median by one rank at most;
 - **equivalence** -- the two paths' :class:`ExperimentResult` payloads
   (series, metrics, notes) must be byte-identical under canonical JSON,
   and a drained single-size receive run must produce byte-identical
@@ -42,6 +43,10 @@ from repro.workloads.generators import make_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see run_p1)
     from repro.results.experiments import ExperimentResult
+
+#: Fewest interleaved scalar/fast pairs P1 times per workload: a median
+#: of fewer ratios flips with host noise on an unchanged tree.
+MIN_PAIRS = 7
 
 
 def canonical_result_json(result: "ExperimentResult") -> str:
@@ -140,15 +145,39 @@ def drained_rx_run(
     return registry.to_json(), sim.events_processed, len(received)
 
 
-def _best_seconds(fn: Any, repeats: int) -> Tuple[float, Any]:
-    """Minimum wall-clock over *repeats* calls, plus the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def _timed(fn: Any) -> Tuple[float, str]:
+    """Wall-clock seconds of one ``fn()`` call, and its canonical JSON."""
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, canonical_result_json(result)
+
+
+def _interleaved_pairs(
+    runner: Any, pairs: int
+) -> Tuple[List[float], List[float], List[float], bool]:
+    """Time *pairs* scalar/fast pairs of ``runner(fast)``.
+
+    Pairs alternate which lane runs first, so warm-up and drift fall on
+    both lanes alike.  Returns the scalar seconds, fast seconds and
+    scalar/fast ratio of every pair, and whether every run's canonical
+    result JSON was identical.
+    """
+    scalar_s: List[float] = []
+    fast_s: List[float] = []
+    ratios: List[float] = []
+    outputs = set()
+    for index in range(pairs):
+        order = (False, True) if index % 2 == 0 else (True, False)
+        seconds: Dict[bool, float] = {}
+        for fast in order:
+            seconds[fast], output = _timed(lambda: runner(fast))
+            outputs.add(output)
+        scalar_s.append(seconds[False])
+        fast_s.append(seconds[True])
+        ratios.append(
+            seconds[False] / seconds[True] if seconds[True] > 0 else float("inf")
+        )
+    return scalar_s, fast_s, ratios, len(outputs) == 1
 
 
 def run_p1(
@@ -162,15 +191,17 @@ def run_p1(
     f6_sdu_size: int = 9180,
     f6_window: float = 0.01,
     min_speedup: float = 2.5,
-    repeats: int = 3,
+    pairs: int = MIN_PAIRS,
 ) -> "ExperimentResult":
     """P1: fast-path wall-clock speedup on F3/F6-class workloads.
 
     Runs F3 (single-VC receive throughput) and F6 (interleaved-VC
-    receive, CAM vs software lookup) once per path, asserts result
-    equivalence, and reports the speedups.  ``speedup_ok`` is 1.0 when
-    the *slower* of the two clears *min_speedup*; ``equivalence_ok`` is
-    1.0 when every comparison was byte-identical.  The regression gate
+    receive, CAM vs software lookup) as *pairs* interleaved
+    scalar/fast pairs each, asserts result equivalence, and reports
+    each workload's speedup as the median of its per-pair ratios.
+    ``speedup_ok`` is 1.0 when the *slower* of the two clears
+    *min_speedup*; ``equivalence_ok`` is 1.0 when every comparison was
+    byte-identical.  The regression gate
     (``benchmarks/baselines/P1.json``) pins both verdicts and the
     deterministic ``events_ratio``, leaving the raw wall-clock numbers
     ungated (they describe the machine, not the model).
@@ -179,8 +210,13 @@ def run_p1(
     *fast_path* are accepted only for the uniform contract.
     """
     del config, seeds, fast_path
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"P1 needs at least {MIN_PAIRS} pairs, got {pairs}")
     # Imported here, not at module top: experiments.py imports this
-    # module to build the registry, exactly like run_r2.
+    # module to build the registry, exactly like run_r2 (and statistics
+    # would weigh on every interpreter that only builds the registry).
+    import statistics
+
     from repro.results.experiments import ExperimentResult, run_f3, run_f6
 
     series_x: List[float] = []
@@ -209,20 +245,15 @@ def run_p1(
     )
     speedups: Dict[str, float] = {}
     for index, (label, runner) in enumerate(workloads):
-        scalar_s, scalar_result = _best_seconds(
-            lambda: runner(False), repeats
-        )
-        fast_s, fast_result = _best_seconds(lambda: runner(True), repeats)
-        scalar_json = canonical_result_json(scalar_result)
-        fast_json = canonical_result_json(fast_result)
-        if scalar_json != fast_json:
+        scalar_s, fast_s, ratios, identical = _interleaved_pairs(runner, pairs)
+        if not identical:
             equivalent = False
-        speedup = scalar_s / fast_s if fast_s > 0 else float("inf")
+        speedup = statistics.median(ratios)
         speedups[label] = speedup
         labels.append(label)
         series_x.append(float(index))
-        scalar_col.append(scalar_s)
-        fast_col.append(fast_s)
+        scalar_col.append(statistics.median(scalar_s))
+        fast_col.append(statistics.median(fast_s))
         speedup_col.append(speedup)
 
     registry_scalar, events_scalar, pdus_scalar = drained_rx_run(False)
@@ -269,7 +300,8 @@ def run_p1(
         f"per fast event on the drained run"
     )
     result.notes.append(
-        f"gate: slowest workload must clear {min_speedup:.1f}x "
+        f"gate: slowest workload's median of {pairs} interleaved "
+        f"scalar/fast pair ratios must clear {min_speedup:.1f}x "
         f"(wall-clock; raw seconds are machine-dependent and ungated)"
     )
     return result

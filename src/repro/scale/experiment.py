@@ -20,8 +20,8 @@ scale plane added is on the hook at once:
   balance across the full churn history;
 - per-VC observability books are bounded (top-K aggregation), checked
   by the registry-cardinality metric;
-- the first seed re-runs under the fast path (cell bursts + calendar
-  queue) and its observable dict must be byte-identical.
+- the first seed re-runs under the fast path (cell bursts) and its
+  observable dict must be byte-identical.
 
 Gates are frozen in ``benchmarks/baselines/S1.json``: peak concurrency
 at or above 2,048 sessions, a balanced ledger, parity, and bounded
@@ -74,17 +74,8 @@ def _churn_run(
     reassembly_quota: int,
     fast_path: bool = False,
 ) -> Dict[str, float]:
-    """One churn history; returns its scalar observables.
-
-    The fast-path lane also swaps the scheduler to the calendar queue,
-    so a single parity comparison covers both dual-path mechanisms.
-    """
-    sim = Simulator(
-        SimConfig(
-            fast_path=fast_path,
-            scheduler="calendar" if fast_path else "heap",
-        )
-    )
+    """One churn history; returns its scalar observables."""
+    sim = Simulator(SimConfig(fast_path=fast_path))
     streams = RandomStreams(seed)
     cfg = replace(
         aurora_oc3(),
@@ -270,7 +261,7 @@ def run_s1(
     signalled sessions through a two-switch fabric under CAC) and
     reports concurrency, setup latency, CAM pressure, fairness, and the
     conservation ledger.  The first seed additionally re-runs on the
-    fast path (bursts + calendar queue) and must match byte for byte --
+    fast path (cell bursts) and must match byte for byte --
     so ``fast_path=True`` adds nothing here and is accepted only for
     the uniform experiment contract, like *config*.
     """

@@ -19,7 +19,6 @@ reproducible given a seed.
 """
 
 from repro.sim.core import (
-    CalendarQueue,
     Event,
     SimConfig,
     SimulationError,
@@ -41,7 +40,6 @@ from repro.sim.resources import Resource, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Counter",
     "Event",
     "SimConfig",

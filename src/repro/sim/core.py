@@ -1,15 +1,11 @@
 """Event loop, clock, and the :class:`Event` primitive.
 
-The kernel keeps a time-ordered queue of ``(time, priority, sequence,
-event)`` entries.  An :class:`Event` is the unit of synchronisation --
-processes (see :mod:`repro.sim.process`) suspend on events and are
-resumed by the event's callbacks when it triggers.
-
-Two interchangeable scheduler backends maintain the queue (selected by
-:class:`SimConfig.scheduler`): the default binary heap, and a
-:class:`CalendarQueue` timer wheel tuned for the dense same-slot event
-pattern the cell pipelines generate.  Both pop entries in the exact
-same total order, so a run is bit-for-bit identical under either.
+The kernel keeps a binary heap of ``(time, priority, sequence, event)``
+entries and pops them in that total order: earlier time first, then
+``URGENT`` before ``NORMAL``, then scheduling order.  An :class:`Event`
+is the unit of synchronisation -- processes (see
+:mod:`repro.sim.process`) suspend on events and are resumed by the
+event's callbacks when it triggers.
 
 :class:`SimConfig` also carries the ``fast_path`` switch that lets the
 NIC/link layers move :class:`repro.atm.burst.CellBurst` batches instead
@@ -21,8 +17,8 @@ callbacks, so there is no concurrency and no locking anywhere.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 if TYPE_CHECKING:  # import cycle: process.py imports this module
@@ -134,9 +130,12 @@ class Event:
                 if self._state == Event._CANCELLED
                 else "event triggered twice"
             )
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._value = value
         self._state = Event._TRIGGERED
-        self.sim._schedule(delay, self)
+        sim = self.sim
+        sim._schedule_at(sim._now + delay, self)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -149,9 +148,12 @@ class Event:
             )
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._exception = exception
         self._state = Event._TRIGGERED
-        self.sim._schedule(delay, self)
+        sim = self.sim
+        sim._schedule_at(sim._now + delay, self)
         return self
 
     # -- waiting ---------------------------------------------------------
@@ -191,149 +193,35 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
+        # Event.__init__ inlined: a Timeout is built per simulated hop.
+        self.sim = sim
+        self.callbacks = []
+        self._exception = None
         self.delay = delay
         self._value = value
         self._state = Event._TRIGGERED
-        sim._schedule(delay, self)
+        sim._schedule_at(sim._now + delay, self)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Kernel configuration: scheduler backend and fast-path switches.
+    """Kernel configuration: the fast-path switches.
 
     ``fast_path`` does not change the kernel itself -- it is the flag the
     NIC, link, and workload layers consult to decide whether to move
     cells one event at a time (the reference path) or batched into
     :class:`repro.atm.burst.CellBurst` objects with identical per-cell
-    accounting.  ``scheduler`` selects the queue backend: ``"heap"``
-    (binary heap, the default) or ``"calendar"`` (bucketed timer wheel).
-    Both produce the exact same event order.
+    accounting.
     """
 
     fast_path: bool = False
     #: Preferred cells per burst on the fast path (producers may emit
     #: fewer, e.g. when capped by half the downstream FIFO depth).
     burst_cells: int = 32
-    scheduler: str = "heap"
-    #: Calendar-queue bucket width in seconds.  The default is a handful
-    #: of OC-3 cell slots, matching the dense near-future event pattern.
-    calendar_bucket_width: float = 16e-6
-    #: Number of buckets in the calendar window; events beyond
-    #: ``buckets * width`` from the window base overflow into a heap.
-    calendar_buckets: int = 512
 
     def __post_init__(self) -> None:
-        if self.scheduler not in ("heap", "calendar"):
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                "expected 'heap' or 'calendar'"
-            )
         if self.burst_cells < 1:
             raise ValueError(f"burst_cells must be >= 1, got {self.burst_cells}")
-        if self.calendar_bucket_width <= 0:
-            raise ValueError("calendar_bucket_width must be positive")
-        if self.calendar_buckets < 1:
-            raise ValueError("calendar_buckets must be >= 1")
-
-
-class CalendarQueue:
-    """A bucketed timer wheel preserving the kernel's exact total order.
-
-    Entries within ``n_buckets * bucket_width`` of the window base land
-    in fixed-width buckets (each a small heap); later entries go to an
-    overflow heap.  Because bucket *b* holds only times in
-    ``[b*width, (b+1)*width)``, the global minimum is always the top of
-    the first non-empty bucket, and same-time entries share a bucket --
-    so pops come out in the same ``(time, priority, sequence)`` order a
-    single binary heap would produce, just with much smaller heaps.
-
-    When the whole window drains, the wheel rebases onto the earliest
-    overflow entry and refills the new window from the overflow heap.
-    """
-
-    __slots__ = ("_width", "_n", "_buckets", "_base", "_overflow", "_len")
-
-    def __init__(self, bucket_width: float, n_buckets: int) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
-        if n_buckets < 1:
-            raise ValueError("n_buckets must be >= 1")
-        self._width = bucket_width
-        self._n = n_buckets
-        self._buckets: list[list[tuple[float, int, int, Event]]] = [
-            [] for _ in range(n_buckets)
-        ]
-        #: Absolute index of the window's first bucket.  Invariant: every
-        #: queued entry has time >= _base * _width (pushes below the base
-        #: -- possible only through float fuzz -- are clamped into it).
-        self._base = 0
-        self._overflow: list[tuple[float, int, int, Event]] = []
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, entry: tuple[float, int, int, Event]) -> None:
-        index = int(entry[0] / self._width)
-        if index < self._base:
-            index = self._base
-        if index >= self._base + self._n:
-            heapq.heappush(self._overflow, entry)
-        else:
-            heapq.heappush(self._buckets[index % self._n], entry)
-        self._len += 1
-
-    def peek_time(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty.
-
-        Advances the base cursor past empty buckets as a side effect, so
-        a peek immediately followed by a pop is O(1) amortised.
-
-        The overflow heap's top competes with the window's: the base
-        cursor only advances on pops, so an entry that overflowed the
-        window at push time can become the global minimum while the
-        window is still busy with later buckets.
-        """
-        if self._len == 0:
-            return float("inf")
-        for _ in range(self._n):
-            bucket = self._buckets[self._base % self._n]
-            if bucket:
-                if self._overflow and self._overflow[0][0] < bucket[0][0]:
-                    return self._overflow[0][0]
-                return bucket[0][0]
-            self._base += 1
-        return self._overflow[0][0]
-
-    def pop(self) -> tuple[float, int, int, Event]:
-        """Remove and return the globally earliest entry."""
-        if self._len == 0:
-            raise IndexError("pop from empty CalendarQueue")
-        n = self._n
-        for _ in range(n):
-            bucket = self._buckets[self._base % n]
-            if bucket:
-                # Full-tuple comparison so same-time entries keep the
-                # binary heap's (time, priority, sequence) tie order.
-                if self._overflow and self._overflow[0] < bucket[0]:
-                    self._len -= 1
-                    return heapq.heappop(self._overflow)
-                self._len -= 1
-                return heapq.heappop(bucket)
-            self._base += 1
-        # The whole window is empty: rebase onto the earliest overflow
-        # entry and pull everything inside the new window back in.
-        self._base = int(self._overflow[0][0] / self._width)
-        window_end = (self._base + n) * self._width
-        while self._overflow and self._overflow[0][0] < window_end:
-            entry = heapq.heappop(self._overflow)
-            index = int(entry[0] / self._width)
-            if index < self._base:
-                index = self._base
-            heapq.heappush(self._buckets[index % n], entry)
-        self._len -= 1
-        return heapq.heappop(self._buckets[self._base % n])
 
 
 class Simulator:
@@ -354,18 +242,11 @@ class Simulator:
         self.config = config if config is not None else SimConfig()
         self._now: float = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._calendar: Optional[CalendarQueue] = (
-            CalendarQueue(
-                self.config.calendar_bucket_width, self.config.calendar_buckets
-            )
-            if self.config.scheduler == "calendar"
-            else None
-        )
         self._sequence = 0
         self._running = False
         #: Lifetime count of events processed -- the kernel's own
-        #: observability counter (exposed as ``sim.events_processed`` by
-        #: the metrics layer; see :mod:`repro.obs.metrics`).
+        #: observability counter (P1's ``events_ratio`` and the
+        #: benchmark's ``sim.events`` read it).
         self.events_processed = 0
         #: High-water mark of queued entries, updated O(1) on every
         #: push.  The scale experiments chart this against VC count to
@@ -402,11 +283,6 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(self, delay: float, event: Event, priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._schedule_at(self._now + delay, event, priority)
-
     def _schedule_at(self, when: float, event: Event, priority: int = NORMAL) -> None:
         """Schedule *event* at the absolute time *when*.
 
@@ -420,13 +296,9 @@ class Simulator:
                 f"cannot schedule into the past (at={when}, now={self._now})"
             )
         self._sequence += 1
-        entry = (when, priority, self._sequence, event)
-        if self._calendar is not None:
-            self._calendar.push(entry)
-            occupancy = len(self._calendar)
-        else:
-            heapq.heappush(self._queue, entry)
-            occupancy = len(self._queue)
+        queue = self._queue
+        heappush(queue, (when, priority, self._sequence, event))
+        occupancy = len(queue)
         if occupancy > self.peak_queue_occupancy:
             self.peak_queue_occupancy = occupancy
 
@@ -438,10 +310,7 @@ class Simulator:
         A cancelled entry is discarded instead: the clock stays put and
         ``events_processed`` does not move, as if it was never queued.
         """
-        if self._calendar is not None:
-            when, _priority, _seq, event = self._calendar.pop()
-        else:
-            when, _priority, _seq, event = heapq.heappop(self._queue)
+        when, _priority, _seq, event = heappop(self._queue)
         if event._state == Event._CANCELLED:
             return
         self._now = when
@@ -450,8 +319,6 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._calendar is not None:
-            return self._calendar.peek_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: Optional[float] = None) -> None:
@@ -463,27 +330,27 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
+        if until is None:
+            horizon = float("inf")
+        elif until < self._now:
+            raise SimulationError(
+                f"run(until={until}) is in the past (now={self._now})"
+            )
+        else:
+            horizon = until
         self._running = True
-        calendar = self._calendar
+        queue = self._queue
+        cancelled = Event._CANCELLED
         try:
-            if until is None:
-                if calendar is not None:
-                    while len(calendar):
-                        self.step()
-                else:
-                    while self._queue:
-                        self.step()
-            else:
-                if until < self._now:
-                    raise SimulationError(
-                        f"run(until={until}) is in the past (now={self._now})"
-                    )
-                if calendar is not None:
-                    while len(calendar) and calendar.peek_time() <= until:
-                        self.step()
-                else:
-                    while self._queue and self._queue[0][0] <= until:
-                        self.step()
+            # step() inlined: this loop is the kernel's hot path.
+            while queue and queue[0][0] <= horizon:
+                when, _priority, _seq, event = heappop(queue)
+                if event._state == cancelled:
+                    continue
+                self._now = when
+                self.events_processed += 1
+                event._process()
+            if until is not None:
                 self._now = until
         finally:
             self._running = False
@@ -512,14 +379,16 @@ class Simulator:
 
         Returns the underlying event (whose value is the function result).
         """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         ev = Event(self)
 
         def runner(event: Event) -> None:
             fn(*args)
 
-        ev.add_callback(runner)
+        ev.callbacks.append(runner)
         ev._state = Event._TRIGGERED
-        self._schedule(delay, ev)
+        self._schedule_at(self._now + delay, ev)
         return ev
 
     def wake_at(self, when: float, value: Any = None) -> Event:
@@ -543,7 +412,7 @@ class Simulator:
         def runner(event: Event) -> None:
             fn(*args)
 
-        ev.add_callback(runner)
+        ev.callbacks.append(runner)
         ev._state = Event._TRIGGERED
         self._schedule_at(when, ev)
         return ev
@@ -555,8 +424,6 @@ class Simulator:
         until they reach the front of the queue (:meth:`peek` may
         likewise report a cancelled entry's time).
         """
-        if self._calendar is not None:
-            return len(self._calendar)
         return len(self._queue)
 
 

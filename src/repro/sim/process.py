@@ -58,9 +58,9 @@ class Process(Event):
         # Kick off the generator as soon as the simulator starts working at
         # the current instant.
         init = Event(sim)
-        init.add_callback(self._resume)
+        init.callbacks.append(self._resume)
         init._state = Event._TRIGGERED
-        sim._schedule(0.0, init, priority=URGENT)
+        sim._schedule_at(sim._now, init, URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -78,17 +78,18 @@ class Process(Event):
         hit = Event(self.sim)
         hit.add_callback(lambda _ev: self._throw(Interrupt(cause)))
         hit._state = Event._TRIGGERED
-        self.sim._schedule(0.0, hit, priority=URGENT)
+        self.sim._schedule_at(self.sim._now, hit, URGENT)
 
     # -- driving the generator -------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        if not self.is_alive:  # interrupted after the event triggered
+        if self._state > Event._PENDING:  # interrupted after the event triggered
             return
         self._waiting_on = None
         try:
-            if event.exception is not None:
-                target = self.generator.throw(event.exception)
+            exception = event._exception
+            if exception is not None:
+                target = self.generator.throw(exception)
             else:
                 target = self.generator.send(
                     event._value if event is not self else None
@@ -110,7 +111,7 @@ class Process(Event):
         self._wait_on(target)
 
     def _throw(self, exc: BaseException) -> None:
-        if not self.is_alive:
+        if self._state > Event._PENDING:
             return
         try:
             target = self.generator.throw(exc)
@@ -142,7 +143,11 @@ class Process(Event):
             self.fail(SimulationError("yielded event belongs to another simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # Event.add_callback inlined: this runs once per process wait.
+        if target._state == Event._PROCESSED:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
 
 class _Condition(Event):

@@ -167,14 +167,6 @@ class InterleavedCellSource:
             stream = (stream + 1) % self.n_vcs
             yield self.sim.timeout(self.link.cell_time)
 
-    def _next_cell(self) -> AtmCell:
-        stream = self._stream
-        if not self._queues[stream]:
-            self._refill(stream)
-        cell = self._queues[stream].pop(0)
-        self._stream = (stream + 1) % self.n_vcs
-        return cell
-
     def _run_fast(self):
         """Burst-mode wire: same slot-spaced cell times, fewer events.
 
@@ -187,7 +179,8 @@ class InterleavedCellSource:
         """
         from repro.atm.burst import CellBurst
 
-        self._stream = 0
+        queues = self._queues
+        stream = 0
         fifo = self.blocking_fifo
         slot = self.link.cell_time
         burst_len = max(
@@ -198,9 +191,14 @@ class InterleavedCellSource:
         # values are bit-identical (cell n at exactly n * slot).
         next_arrival = 0.0
         while True:
-            cells = [self._next_cell() for _ in range(burst_len)]
+            cells = []
             arrivals = []
             for _ in range(burst_len):
+                # The scalar loop's round-robin cell pick, inlined.
+                if not queues[stream]:
+                    self._refill(stream)
+                cells.append(queues[stream].pop(0))
+                stream = (stream + 1) % self.n_vcs
                 arrivals.append(next_arrival)
                 next_arrival = next_arrival + slot
             accept = fifo.put_burst(CellBurst(cells, arrivals))

@@ -1,5 +1,7 @@
 """ATM cell format: encode/decode, field ranges, PTI semantics."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,12 @@ class TestConstruction:
     def test_gfc_range(self):
         with pytest.raises(CellFormatError):
             AtmCell(vpi=0, vci=32, payload=PAYLOAD, gfc=16)
+
+    def test_first_bad_field_is_reported(self):
+        with pytest.raises(CellFormatError, match="GFC"):
+            AtmCell(vpi=0x1000, vci=32, payload=b"short", gfc=16)
+        with pytest.raises(CellFormatError, match="CLP"):
+            AtmCell(vpi=0, vci=32, payload=b"short", clp=2)
 
 
 class TestWireFormat:
@@ -119,6 +127,11 @@ class TestSemantics:
             vpi=0, vci=32, payload=PAYLOAD, pti=PTI_USER_SDU0
         ).end_of_frame
 
+    @pytest.mark.parametrize("pti", range(8))
+    def test_end_of_frame_is_user_cell_with_sdu_bit(self, pti):
+        cell = AtmCell(vpi=0, vci=32, payload=PAYLOAD, pti=pti)
+        assert cell.end_of_frame == (cell.is_user_cell and bool(pti & 0b001))
+
     def test_oam_cell_is_not_user_or_eof(self):
         cell = AtmCell(vpi=0, vci=32, payload=PAYLOAD, pti=PTI_OAM_SEGMENT)
         assert not cell.is_user_cell
@@ -134,6 +147,13 @@ class TestSemantics:
         assert (out.vpi, out.vci) == (9, 900)
         assert out.payload == cell.payload
         assert out.pti == cell.pti
+
+    def test_with_header_matches_dataclasses_replace(self):
+        cell = AtmCell(vpi=1, vci=2, payload=PAYLOAD, pti=1, clp=1, gfc=5)
+        cell.meta["pdu"] = 7
+        out = cell.with_header(vci=900, pti=3)
+        assert out == dataclasses.replace(cell, vci=900, pti=3)
+        assert out.gfc == 5 and out.meta is cell.meta
 
     def test_meta_does_not_affect_equality(self):
         a = AtmCell(vpi=0, vci=32, payload=PAYLOAD)

@@ -175,10 +175,17 @@ class TestBufferMemory:
         assert mem.allocation_failures == 1
 
     def test_grow(self, sim):
-        mem = AdaptorBufferMemory(sim, self.spec())
+        mem = AdaptorBufferMemory(sim, self.spec(cells=3))
         mem.allocate("ctx", 1)
-        mem.grow("ctx")
+        assert mem.grow("ctx")
         assert mem.held_by("ctx") == 2
+        # grow keeps allocate's rules: exhaustion is counted, not raised.
+        assert not mem.grow("ctx", 2)
+        assert mem.allocation_failures == 1
+        assert (mem.held_by("ctx"), mem.used_cells) == (2, 2)
+        assert mem.occupancy.maximum == 2
+        with pytest.raises(ValueError):
+            mem.grow("ctx", -1)
 
     def test_bandwidth_ledger(self, sim):
         mem = AdaptorBufferMemory(sim, self.spec())

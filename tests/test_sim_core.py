@@ -121,6 +121,35 @@ class TestOrdering:
         with pytest.raises(ValueError):
             sim.timeout(-1.0)
 
+    def test_run_dispatches_in_step_order(self):
+        # run()'s inlined loop must pop exactly what repeated step()
+        # calls pop: (time, priority, sequence), cancellations skipped.
+        def build():
+            sim = Simulator()
+            log = []
+            for label, t in enumerate([0.3, 0.1, 0.3, 0.0, 0.2, 0.1]):
+                sim.schedule_call(t, log.append, (t, label))
+            sim.timeout(0.1).cancel()
+
+            def proc():
+                log.append(("proc", sim.now))
+                yield sim.timeout(0.1)
+                log.append(("proc", sim.now))
+
+            sim.process(proc())
+            return sim, log
+
+        stepped, step_log = build()
+        while stepped.pending_events():
+            stepped.step()
+        ran, run_log = build()
+        ran.run()
+        assert run_log == step_log
+        assert (ran.now, ran.events_processed) == (
+            stepped.now,
+            stepped.events_processed,
+        )
+
     def test_step_processes_one_event(self, sim):
         hits = []
         sim.schedule_call(1.0, hits.append, 1)
@@ -171,92 +200,6 @@ class TestDeterminism:
         assert trace() == trace()
 
 
-class TestCalendarScheduler:
-    """The calendar backend must reproduce the heap's exact total order."""
-
-    @staticmethod
-    def _pop_order(scheduler, times, **knobs):
-        from repro.sim.core import SimConfig
-
-        sim = Simulator(SimConfig(scheduler=scheduler, **knobs))
-        order = []
-        for label, t in enumerate(times):
-            sim.schedule_call(t, order.append, (t, label))
-        sim.run()
-        return order
-
-    def test_same_timestamp_fifo_matches_heap(self):
-        times = [1.0, 1.0, 0.5, 1.0, 0.5, 2.0, 1.0]
-        assert self._pop_order("calendar", times) == self._pop_order(
-            "heap", times
-        )
-
-    def test_far_future_events_overflow_and_rebase(self):
-        # Far beyond the wheel window (width * buckets), through several
-        # rebase generations, mixed with near-term events.
-        times = [1e-6, 5.0, 1e-6, 12_000.0, 3.0, 5.0, 0.0, 7e5, 12_000.0]
-        assert self._pop_order(
-            "calendar", times, calendar_bucket_width=1e-6, calendar_buckets=4
-        ) == self._pop_order("heap", times)
-
-    def test_degenerate_single_bucket_wheel(self):
-        times = [0.3, 0.1, 0.2, 0.1, 0.4]
-        assert self._pop_order(
-            "calendar", times, calendar_bucket_width=1e-9, calendar_buckets=1
-        ) == self._pop_order("heap", times)
-
-    def test_overflow_due_while_window_busy_is_not_stranded(self):
-        # Regression: an overflow event can come due while near events
-        # keep landing inside the wheel's window (dense self-scheduling
-        # workloads -- exactly S1's churn shape).  The wheel only
-        # rebases on empty-window scans, so the overflow top must be
-        # compared lazily on every peek/pop, not just after a rebase;
-        # the original code stranded it until the wheel went idle,
-        # running events out of order.  Upfront schedules (the tests
-        # above) never trip this: it needs events scheduled *from
-        # running callbacks* that keep the window occupied past the
-        # overflow event's deadline.
-        from repro.sim.core import SimConfig
-
-        def run(scheduler):
-            sim = Simulator(
-                SimConfig(
-                    scheduler=scheduler,
-                    calendar_bucket_width=1e-3,
-                    calendar_buckets=8,  # window = 8 ms
-                )
-            )
-            log = []
-
-            def tick(n):
-                log.append(("tick", round(sim.now, 9)))
-                if n:
-                    # Stay inside the window, forever occupying it...
-                    sim.schedule_call(2e-3, tick, n - 1)
-                if n == 18:
-                    # ...then lob one event far past the window; it
-                    # comes due at 25 ms, mid-stream of the ticks.
-                    sim.schedule_call(21e-3, log.append, ("far", 1))
-
-            sim.schedule_call(0.0, tick, 20)
-            sim.run()
-            return log, sim.now, sim.events_processed
-
-        assert run("calendar") == run("heap")
-
-    def test_run_until_leaves_future_events_queued(self):
-        from repro.sim.core import SimConfig
-
-        sim = Simulator(SimConfig(scheduler="calendar"))
-        hits = []
-        sim.schedule_call(1.0, hits.append, "near")
-        sim.schedule_call(100.0, hits.append, "far")
-        sim.run(until=2.0)
-        assert hits == ["near"]
-        assert sim.now == 2.0
-        assert sim.pending_events() == 1
-
-
 class TestCancellation:
     def test_cancelled_timeout_never_fires(self, sim):
         hits = []
@@ -295,18 +238,33 @@ class TestCancellation:
         with pytest.raises(SimulationError):
             ev.fail(RuntimeError("x"))
 
-    def test_cancellation_identical_across_backends(self):
-        from repro.sim.core import SimConfig
 
-        def run(scheduler):
-            sim = Simulator(SimConfig(scheduler=scheduler))
-            log = []
-            victims = [sim.timeout(t) for t in (0.2, 0.4, 0.4, 0.9)]
-            for t in (0.1, 0.4, 0.5, 0.9):
-                sim.schedule_call(t, log.append, t)
-            for victim in victims:
-                victim.cancel()
-            sim.run()
-            return log, sim.now, sim.events_processed
+class TestNegativeDelayLeavesEventPending:
+    """A rejected trigger/fail must not half-commit the event."""
 
-        assert run("heap") == run("calendar")
+    @pytest.mark.parametrize("how", ["trigger", "fail"])
+    def test_rejected_then_retried(self, sim, how):
+        ev = sim.event()
+        settle = (
+            (lambda delay: ev.trigger("ok", delay=delay))
+            if how == "trigger"
+            else (lambda delay: ev.fail(RuntimeError("boom"), delay=delay))
+        )
+        with pytest.raises(SimulationError, match="past"):
+            settle(-1.0)
+        assert not ev.triggered
+        assert sim.pending_events() == 0
+
+        seen = []
+
+        def waiter():
+            try:
+                seen.append((yield ev))
+            except RuntimeError as exc:
+                seen.append(str(exc))
+
+        sim.process(waiter())
+        settle(0.5)  # the retry must not raise "event triggered twice"
+        sim.run()
+        assert seen == (["ok"] if how == "trigger" else ["boom"])
+        assert sim.now == 0.5
