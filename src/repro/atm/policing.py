@@ -22,6 +22,11 @@ from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 
 
+#: Slack on the ``TAT - tau`` boundary (seconds): a cell arriving exactly
+#: on it conforms even when rounding the TAT sum puts it an ulp late.
+_BOUNDARY_SLACK = 1e-12
+
+
 class Gcra:
     """Virtual-scheduling GCRA(T, tau) conformance checker.
 
@@ -70,7 +75,7 @@ class Gcra:
             self._tat = arrival_time + self.increment
             self.conforming += 1
             return True
-        if arrival_time >= self._tat - self.tolerance:
+        if arrival_time >= self._tat - self.tolerance - _BOUNDARY_SLACK:
             self._tat += self.increment
             self.conforming += 1
             return True

@@ -18,8 +18,7 @@ replaces that with declarations::
 ``build`` returns a :class:`Scenario` holding the live objects by name
 (``net.hosts["s0"]``, ``net.ports["bottleneck"]``...), with dynamic
 route management (:meth:`Scenario.add_route` /
-:meth:`Scenario.remove_route`) for session churn and one-call
-instrumentation through :func:`repro.obs.instrument`.
+:meth:`Scenario.remove_route`) for session churn.
 
 Determinism contract: only :class:`HostNetworkInterface` construction
 touches the simulator's event-sequence numbering, and hosts are built
@@ -35,7 +34,7 @@ be declared without a topological sort.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.atm.addressing import VcAddress
 from repro.atm.link import LinkSpec, PhysicalLink
@@ -90,12 +89,6 @@ class _PathDecl:
     peak_rate_bps: Optional[float]
 
 
-@dataclass
-class _WorkloadDecl:
-    host: str
-    factory: Callable[[Simulator, HostNetworkInterface], Any]
-
-
 class Scenario:
     """The live objects a :class:`Testbed` build produced, by name."""
 
@@ -104,7 +97,6 @@ class Scenario:
         self.switches: Dict[str, AtmSwitch] = {}
         self.links: Dict[str, PhysicalLink] = {}
         self.ports: Dict[str, OutputPort] = {}
-        self.workloads: List[Any] = []
         #: (switch, upstream-neighbour) -> the switch input index the
         #: neighbour's cells arrive on.  Route helpers consult these so
         #: callers never touch port indices.
@@ -142,27 +134,30 @@ class Scenario:
         for node, in_idx, _out_idx in self._hops(path):
             self.switches[node].remove_routes(in_idx, address)
 
-    # -- observability ----------------------------------------------------
 
-    def instrument(self, registry: Any, trace: Any = None) -> None:
-        """Register every host, port, and link with *registry*.
+@dataclass
+class ScenarioHandle:
+    """A wired experiment scenario, before it runs: its live parts by role.
 
-        Uses the type-dispatched :func:`repro.obs.instrument`, prefixing
-        each metric family with the declared name.  When *trace* is
-        given it is attached to every host and link.
-        """
-        from repro.obs import instrument
+    Each traced experiment splits into a scenario builder that returns
+    one of these and a measurement that runs the simulator and reads
+    it.  ``repro trace`` calls the same builder and attaches its
+    recorder, profiler and metrics registry to every part before the
+    run, so the traced scenario is the gated one.
+    """
 
-        for name, nic in self.hosts.items():
-            instrument(registry, nic, prefix=f"{name}.")
-            if trace is not None:
-                nic.attach_trace(trace)
-        for name, port in self.ports.items():
-            instrument(registry, port, prefix=f"{name}.")
-        for name, link in self.links.items():
-            instrument(registry, link, prefix=f"{name}.")
-            if trace is not None:
-                link.trace = trace
+    hosts: Dict[str, HostNetworkInterface] = field(default_factory=dict)
+    links: Dict[str, PhysicalLink] = field(default_factory=dict)
+    ports: Dict[str, OutputPort] = field(default_factory=dict)
+    #: Control-plane and workload actors: signalling agents,
+    #: supervisors, the call restorer, ABR/ERICA/CAC, session engines.
+    agents: Dict[str, Any] = field(default_factory=dict)
+    #: The cell-conservation auditor, when the scenario keeps a ledger.
+    auditor: Any = None
+    #: Delivery log the scenario's receive callback appends to.
+    delivered: List[Any] = field(default_factory=list)
+    #: Calls the workload saw connect (signalled scenarios).
+    calls: List[Any] = field(default_factory=list)
 
 
 class Testbed:
@@ -179,7 +174,6 @@ class Testbed:
         self._links: List[_LinkDecl] = []
         self._connects: List[_ConnectDecl] = []
         self._paths: List[_PathDecl] = []
-        self._workloads: List[_WorkloadDecl] = []
         self._names: Dict[str, str] = {}  # name -> "host" | "switch"
 
     # -- declarations -----------------------------------------------------
@@ -294,17 +288,6 @@ class Testbed:
         """Declare routes only (no VC open) -- e.g. an RM return path."""
         self._check_path(path, endpoints_are_hosts=False)
         self._paths.append(_PathDecl(address, tuple(path), False, None))
-        return self
-
-    def workload(
-        self,
-        host: str,
-        factory: Callable[[Simulator, HostNetworkInterface], Any],
-    ) -> "Testbed":
-        """Declare a workload: ``factory(sim, nic)`` runs after wiring."""
-        if self._names.get(host) != "host":
-            raise ValueError(f"workload() needs a host; {host!r} is not one")
-        self._workloads.append(_WorkloadDecl(host, factory))
         return self
 
     def _check_path(
@@ -428,9 +411,6 @@ class Testbed:
                     address=pd.address, peak_rate_bps=pd.peak_rate_bps
                 )
                 net.hosts[pd.path[-1]].open_vc(address=pd.address)
-
-        for wd in self._workloads:
-            net.workloads.append(wd.factory(sim, net.hosts[wd.host]))
 
         return net
 

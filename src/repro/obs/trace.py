@@ -30,8 +30,9 @@ PDUs are identified by the transmit descriptor's ``pdu_id`` (see
 :mod:`repro.nic.descriptors`); cells are tagged at segmentation time
 with a monotonically increasing ``cell_id`` in ``cell.meta`` and keep
 it across the wire, so a single id follows one cell from the transmit
-FIFO to its receive-side fate.  Cells that originate outside a traced
-transmit engine (synthetic wire sources) simply carry no id.
+FIFO to its receive-side fate.  Synthetic wire sources carry no id,
+except F3's feeder, which stands in for a transmit engine and tags
+like one.
 
 Event taxonomy
 --------------

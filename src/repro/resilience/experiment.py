@@ -38,7 +38,7 @@ from repro.atm.signalling import (
     SignallingTimers,
 )
 from repro.faults.audit import CellConservationAuditor
-from repro.net import Testbed
+from repro.net import ScenarioHandle, Testbed
 from repro.nic.config import aurora_oc3
 from repro.resilience.restore import CallRestorer
 from repro.resilience.supervisor import LinkSupervisor, SupervisorConfig
@@ -71,7 +71,8 @@ def _call_start_times(n_calls: int, flap_start: float, flap_down: float):
     return before + during
 
 
-def _flap_run(
+def flap_scenario(
+    sim: Simulator,
     seed: int,
     recovery: bool,
     duration: float,
@@ -80,9 +81,15 @@ def _flap_run(
     n_calls: int,
     sdu_size: int,
     send_gap: float,
-) -> Dict[str, float]:
-    """One arm of an R2 point; returns its scalar observables."""
-    sim = Simulator()
+) -> ScenarioHandle:
+    """R2's scenario: signalled calls across a flapping link.
+
+    Two interfaces, a signalling agent on each, the forward link fully
+    down over ``[flap_start, flap_start + flap_down)``, and *n_calls*
+    calls pumping *sdu_size* PDUs every *send_gap* until *duration*.
+    With *recovery* the fault-management plane is on: retransmission
+    timers, a supervisor per interface, and a call restorer.
+    """
     streams = RandomStreams(seed)
     cfg = aurora_oc3()
     flap = ScheduledLoss(
@@ -95,17 +102,19 @@ def _flap_run(
     tb.connect("a", "b", loss_ab=flap)
     net = tb.build(sim)
     a, b = net.hosts["a"], net.hosts["b"]
-    link_ab = net.links["a->b"]
-    auditor = CellConservationAuditor(link_ab, b)
+    auditor = CellConservationAuditor(net.links["a->b"], b)
 
     sig_b = SignallingAgent(sim, b, streams=streams, timers=R2_TIMERS if recovery else None)
     sig_a = SignallingAgent(sim, a, streams=streams, timers=R2_TIMERS if recovery else None)
-
-    received: list = []
-    sig_b.on_user_pdu = received.append
+    scenario = ScenarioHandle(
+        hosts=net.hosts,
+        links=net.links,
+        agents={"sig_a": sig_a, "sig_b": sig_b},
+        auditor=auditor,
+    )
+    sig_b.on_user_pdu = scenario.delivered.append
 
     restorer: Optional[CallRestorer] = None
-    sup_a = sup_b = None
     if recovery:
         sup_a = LinkSupervisor(sim, a, config=R2_SUPERVISION)
         sup_b = LinkSupervisor(sim, b, config=R2_SUPERVISION)
@@ -114,16 +123,16 @@ def _flap_run(
         sup_a.start()
         sup_b.start()
         restorer = CallRestorer(sim, sig_a, sup_a, on_restored=None)
+        scenario.agents.update(sup_a=sup_a, sup_b=sup_b, restorer=restorer)
 
     payload = bytes(sdu_size)
-    connected_calls: list = []
 
     def pump(call):
         try:
             address = yield call.connected
         except CallRefused:
             return
-        connected_calls.append(address)
+        scenario.calls.append(address)
         while sim.now < duration and call.state is CallState.ACTIVE:
             yield a.send(address, payload)
             yield sim.timeout(send_gap)
@@ -140,7 +149,27 @@ def _flap_run(
 
     for start_at in _call_start_times(n_calls, flap_start, flap_down):
         sim.process(place(start_at))
+    return scenario
 
+
+def _flap_run(
+    seed: int,
+    recovery: bool,
+    duration: float,
+    flap_start: float,
+    flap_down: float,
+    n_calls: int,
+    sdu_size: int,
+    send_gap: float,
+) -> Dict[str, float]:
+    """One arm of an R2 point; returns its scalar observables."""
+    sim = Simulator()
+    scenario = flap_scenario(
+        sim, seed, recovery, duration, flap_start, flap_down, n_calls,
+        sdu_size, send_gap,
+    )
+    received = scenario.delivered
+    agents = scenario.agents
     sim.run(until=duration)
     flap_end = flap_start + flap_down
 
@@ -157,21 +186,25 @@ def _flap_run(
     # running reach its terminal state before auditing.  Conservation
     # does not need the (500 ms) reassembly timers: contexts the flap
     # left open are itemised in the ledger's reassembly_open bucket.
-    if sup_a is not None:
-        sup_a.stop()
-        sup_b.stop()
+    if recovery:
+        agents["sup_a"].stop()
+        agents["sup_b"].stop()
     drain = R2_TIMERS.worst_case_total() + 2e-3
     sim.run(until=duration + drain)
-    ledger = auditor.snapshot()
-    stuck = len(sig_a.unresolved_calls) + len(sig_b.unresolved_calls)
+    ledger = scenario.auditor.snapshot()
+    stuck = len(agents["sig_a"].unresolved_calls) + len(
+        agents["sig_b"].unresolved_calls
+    )
 
     return {
         "goodput_mbps": goodput,
         "pre_flap_mbps": pre,
         "during_flap_mbps": during,
         "post_flap_mbps": post,
-        "calls_connected": float(len(connected_calls)),
-        "calls_restored": float(restorer.calls_restored if restorer else 0),
+        "calls_connected": float(len(scenario.calls)),
+        "calls_restored": float(
+            agents["restorer"].calls_restored if recovery else 0
+        ),
         "stuck_calls": float(stuck),
         "conserved": 1.0 if ledger.is_conserved else 0.0,
         "unaccounted_cells": float(ledger.unaccounted),

@@ -46,6 +46,8 @@ from repro.atm.link import STS3C_155, STS12C_622, PhysicalLink
 from repro.baselines.hardwired import hardwired_config
 from repro.baselines.host_sar import HostSarConfig, HostSarInterface
 from repro.baselines.shared_proc import share_engine
+from repro.faults.audit import CellConservationAuditor
+from repro.net import ScenarioHandle
 from repro.nic.config import NicConfig, aurora_oc3, aurora_oc12
 from repro.nic.costs import CellPosition
 from repro.nic.nic import HostNetworkInterface, connect
@@ -59,7 +61,11 @@ from repro.workloads.generators import (
     PoissonSource,
     make_payload,
 )
-from repro.workloads.scenarios import InterleavedCellSource, build_point_to_point
+from repro.workloads.scenarios import (
+    InterleavedCellSource,
+    PointToPoint,
+    build_point_to_point,
+)
 
 #: The PDU sizes every size sweep uses (bytes).
 DEFAULT_SIZES: Sequence[int] = (40, 64, 128, 256, 512, 1024, 2048, 4096, 9180, 16384, 32768, 65535)
@@ -232,6 +238,41 @@ def run_t2(
 # F2 / F3: throughput vs PDU size
 # ---------------------------------------------------------------------------
 
+def _handle_of(scenario: PointToPoint) -> ScenarioHandle:
+    hosts = (scenario.sender, scenario.receiver)
+    links = (scenario.link_ab, scenario.link_ba)
+    return ScenarioHandle(
+        hosts={nic.name: nic for nic in hosts},
+        links={link.name: link for link in links},
+        delivered=scenario.received,
+    )
+
+
+def transmit_scenario(
+    sim: Simulator, config: Optional[NicConfig] = None, sdu_size: int = 9180
+) -> ScenarioHandle:
+    """F2's scenario: a greedy sender over a clean point-to-point link.
+
+    *config* defaults to F2's interface lane, the aurora OC-3 adaptor
+    with free host software (:func:`lab_host`).
+    """
+    config = config if config is not None else lab_host(aurora_oc3())
+    scenario = build_point_to_point(sim, config)
+    GreedySource(sim, scenario.sender, scenario.vc, sdu_size).start()
+    return _handle_of(scenario)
+
+
+def quickstart_scenario(sim: Simulator) -> ScenarioHandle:
+    """The README quickstart exchange: five 4,096-byte PDUs, full host costs.
+
+    Not an experiment: ``repro trace quickstart`` runs it to show the
+    interrupt and driver stages that :func:`lab_host` removes from F2.
+    """
+    scenario = build_point_to_point(sim, aurora_oc3())
+    GreedySource(sim, scenario.sender, scenario.vc, 4096, total_pdus=5).start()
+    return _handle_of(scenario)
+
+
 def run_f2(
     config: Optional[NicConfig] = None,
     *,
@@ -254,25 +295,22 @@ def run_f2(
 
         # Interface capability: free host software.
         sim = Simulator(sim_config)
-        scenario = build_point_to_point(sim, isolated)
-        GreedySource(sim, scenario.sender, scenario.vc, size).start()
+        interface = transmit_scenario(sim, isolated, size)
         sim.run(until=run_window)
-        interface_mbps = steady_goodput_mbps(scenario.received)
 
         # End to end: real host software in the pipeline.
         sim2 = Simulator(sim_config)
-        scenario2 = build_point_to_point(sim2, config)
-        GreedySource(sim2, scenario2.sender, scenario2.vc, size).start()
+        end_to_end = transmit_scenario(sim2, config, size)
         sim2.run(until=run_window)
 
         series.add_point(
             size,
-            interface_sim_mbps=interface_mbps,
+            interface_sim_mbps=steady_goodput_mbps(interface.delivered),
             interface_model_mbps=min(
                 tx_throughput_model_mbps(config, size),
                 rx_throughput_model_mbps(config, size),
             ),
-            end_to_end_sim_mbps=steady_goodput_mbps(scenario2.received),
+            end_to_end_sim_mbps=steady_goodput_mbps(end_to_end.delivered),
             end_to_end_model_mbps=end_to_end_throughput_model_mbps(config, size),
         )
     result = ExperimentResult(
@@ -290,6 +328,72 @@ def run_f2(
         else "engine never reaches link rate at this clock"
     )
     return result
+
+
+def receive_scenario(
+    sim: Simulator, config: Optional[NicConfig] = None, sdu_size: int = 9180
+) -> ScenarioHandle:
+    """F3's scenario: a backlogged wire feeding one adaptor's RX FIFO.
+
+    Cells arrive at link rate but never overrun (upstream buffering).
+    *config* defaults to the aurora OC-3 adaptor with free host
+    software (:func:`lab_host`).  The feeder stands in for a transmit
+    engine, so like one it tags each cell with a trace id when the
+    FIFO it feeds is traced.
+    """
+    config = config if config is not None else lab_host(aurora_oc3())
+    nic = HostNetworkInterface(sim, config, name="rxhost")
+    received: List = []
+    nic.on_pdu = received.append
+    vc = nic.open_vc(address=VcAddress(0, 100))
+    nic.start()
+    fifo = nic.rx_fifo
+    segmenter = Aal5Segmenter(vc.address)
+    payload = make_payload(sdu_size)
+
+    def feeder():
+        while True:
+            for cell in segmenter.segment(payload):
+                yield sim.timeout(config.link.cell_time)
+                if fifo.trace is not None:
+                    fifo.trace.tag_cell(cell)
+                yield fifo.put(cell)
+
+    def feeder_fast():
+        # Burst-mode wire: same slot-spaced arrival chain as the
+        # scalar feeder (cell *i* at ``(i+1) * cell_time``, shifted
+        # only while backpressured), pre-announced in batches.  The
+        # chain is built with the same iterated float adds as the
+        # scalar clock so the arrival values are bit-identical.
+        slot = config.link.cell_time
+        burst_len = max(1, min(sim.config.burst_cells, fifo.depth_cells // 2))
+        pending: List = []
+        last = 0.0
+        while True:
+            while len(pending) < burst_len:
+                pending.extend(segmenter.segment(payload))
+            cells = pending[:burst_len]
+            del pending[:burst_len]
+            if fifo.trace is not None:
+                for cell in cells:
+                    fifo.trace.tag_cell(cell)
+            arrivals = []
+            for _ in range(burst_len):
+                last = last + slot
+                arrivals.append(last)
+            accept = fifo.put_burst(CellBurst(cells, arrivals))
+            blocked = not accept.triggered
+            yield accept
+            if blocked:
+                # Backpressured: the scalar chain restarts from the
+                # unblock time (arrivals are engine-dominated here).
+                last = max(sim.now, last)
+            wait = last - sim.now
+            if wait > 0:
+                yield sim.timeout(wait)
+
+    sim.process(feeder_fast() if sim.config.fast_path else feeder())
+    return ScenarioHandle(hosts={"rxhost": nic}, delivered=received)
 
 
 def run_f3(
@@ -315,57 +419,11 @@ def run_f3(
     for size in sizes:
         run_window = _window_for(size, window, config.link)
         sim = Simulator(SimConfig(fast_path=fast_path))
-        nic = HostNetworkInterface(sim, config, name="rxhost")
-        received = []
-        nic.on_pdu = received.append
-        vc = nic.open_vc(address=VcAddress(0, 100))
-        nic.start()
-        segmenter = Aal5Segmenter(vc.address)
-        payload = make_payload(size)
-
-        def feeder():
-            while True:
-                for cell in segmenter.segment(payload):
-                    yield sim.timeout(config.link.cell_time)
-                    yield nic.rx_fifo.put(cell)
-
-        def feeder_fast():
-            # Burst-mode wire: same slot-spaced arrival chain as the
-            # scalar feeder (cell *i* at ``(i+1) * cell_time``, shifted
-            # only while backpressured), pre-announced in batches.  The
-            # chain is built with the same iterated float adds as the
-            # scalar clock so the arrival values are bit-identical.
-            slot = config.link.cell_time
-            burst_len = max(
-                1, min(sim.config.burst_cells, nic.rx_fifo.depth_cells // 2)
-            )
-            pending: List = []
-            last = 0.0
-            while True:
-                while len(pending) < burst_len:
-                    pending.extend(segmenter.segment(payload))
-                cells = pending[:burst_len]
-                del pending[:burst_len]
-                arrivals = []
-                for _ in range(burst_len):
-                    last = last + slot
-                    arrivals.append(last)
-                accept = nic.rx_fifo.put_burst(CellBurst(cells, arrivals))
-                blocked = not accept.triggered
-                yield accept
-                if blocked:
-                    # Backpressured: the scalar chain restarts from the
-                    # unblock time (arrivals are engine-dominated here).
-                    last = max(sim.now, last)
-                wait = last - sim.now
-                if wait > 0:
-                    yield sim.timeout(wait)
-
-        sim.process(feeder_fast() if fast_path else feeder())
+        scenario = receive_scenario(sim, config, size)
         sim.run(until=run_window)
         series.add_point(
             size,
-            simulated_mbps=steady_goodput_mbps(received),
+            simulated_mbps=steady_goodput_mbps(scenario.delivered),
             model_mbps=rx_throughput_model_mbps(config, size),
         )
     result = ExperimentResult(
@@ -1402,6 +1460,62 @@ def run_a4(
 # R1: graceful degradation -- goodput under cell loss, EPD/PPD on vs off
 # ---------------------------------------------------------------------------
 
+def loss_scenario(
+    sim: Simulator,
+    config: Optional[NicConfig] = None,
+    *,
+    loss_rate: float,
+    n_vcs: int,
+    sdu_size: int,
+    seed: int,
+    frame_discard: bool,
+) -> ScenarioHandle:
+    """R1's scenario: an interleaved wire through a lossy link.
+
+    *n_vcs* interleaved AAL5 streams at link rate cross a link that
+    drops cells uniformly at *loss_rate* (stream ``r1.loss`` of
+    *seed*) into one adaptor, with EPD/PPD on when *frame_discard*.
+    *config* defaults to the aurora OC-12c adaptor with free host
+    software (:func:`lab_host`).  A conservation auditor keeps the
+    link-to-host ledger.
+    """
+    from repro.atm.errors import UniformLoss
+    from repro.nic.rx import FrameDiscardPolicy
+
+    base = config if config is not None else lab_host(aurora_oc12())
+    cfg = replace(
+        base, frame_discard=FrameDiscardPolicy() if frame_discard else None
+    )
+    nic = HostNetworkInterface(sim, cfg, name="rxhost")
+    received: List = []
+    nic.on_pdu = received.append
+    for i in range(n_vcs):
+        nic.open_vc(address=VcAddress(0, 100 + i))
+    nic.start()
+    link = PhysicalLink(
+        sim,
+        cfg.link,
+        sink=nic.rx_input,
+        loss_model=UniformLoss(
+            loss_rate, rng=RandomStreams(seed).stream("r1.loss")
+        ),
+        name="lossy-wire",
+    )
+    InterleavedCellSource(
+        sim,
+        sink=link.send,
+        link=cfg.link,
+        n_vcs=n_vcs,
+        sdu_size=sdu_size,
+    ).start()
+    return ScenarioHandle(
+        hosts={"rxhost": nic},
+        links={"lossy-wire": link},
+        auditor=CellConservationAuditor(link, nic),
+        delivered=received,
+    )
+
+
 def _r1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float]:
     """R1 kernel: goodput at one cell-loss rate, EPD/PPD on vs off.
 
@@ -1433,42 +1547,20 @@ def _r1_measure(
     fast_path: bool = False,
 ) -> Dict[str, float]:
     """Measure one R1 loss-rate point on *base* (host costs pre-zeroed)."""
-    from repro.atm.errors import UniformLoss
-    from repro.nic.rx import FrameDiscardPolicy
-
-    policies = (
-        ("discard_off_mbps", None),
-        ("epd_ppd_mbps", FrameDiscardPolicy()),
-    )
     point = {}
-    for label, policy in policies:
-        cfg = replace(base, frame_discard=policy)
+    for label, discard in (("discard_off_mbps", False), ("epd_ppd_mbps", True)):
         sim = Simulator(SimConfig(fast_path=fast_path))
-        nic = HostNetworkInterface(sim, cfg, name="rxhost")
-        received: List = []
-        nic.on_pdu = received.append
-        for i in range(n_vcs):
-            nic.open_vc(address=VcAddress(0, 100 + i))
-        nic.start()
-        link = PhysicalLink(
+        scenario = loss_scenario(
             sim,
-            cfg.link,
-            sink=nic.rx_input,
-            loss_model=UniformLoss(
-                p, rng=RandomStreams(seed).stream("r1.loss")
-            ),
-            name="lossy-wire",
-        )
-        source = InterleavedCellSource(
-            sim,
-            sink=link.send,
-            link=cfg.link,
+            base,
+            loss_rate=p,
             n_vcs=n_vcs,
             sdu_size=sdu_size,
+            seed=seed,
+            frame_discard=discard,
         )
-        source.start()
         sim.run(until=window)
-        point[label] = windowed_goodput_mbps(received, window / 4, window)
+        point[label] = windowed_goodput_mbps(scenario.delivered, window / 4, window)
     return point
 
 
@@ -1499,67 +1591,38 @@ def run_r1(
     entry of *seeds* is used (historically the ``seed=7`` parameter).
     """
     seed = seeds[0] if seeds else 7
+    base = lab_host(config if config is not None else aurora_oc12())
     if config is not None:
-        # A custom config is not a sweepable (JSON) parameter; run the
-        # kernel-equivalent loop inline for that research use.
-        return _run_r1_custom(
-            config, loss_rates, n_vcs, sdu_size, window, seed,
-            fast_path=fast_path,
+        # A custom config is not a sweepable (JSON) parameter: measure
+        # the kernel's points inline for that research use.
+        series = Series(name="goodput under loss", x_label="cell_loss_rate")
+        for p in loss_rates:
+            series.add_point(
+                p,
+                **_r1_measure(
+                    base, p, n_vcs, sdu_size, window, seed, fast_path=fast_path
+                ),
+            )
+    else:
+        fixed: Dict[str, Any] = {
+            "n_vcs": n_vcs,
+            "sdu_size": sdu_size,
+            "window": window,
+            "seed": seed,
+        }
+        if fast_path:
+            # Only part of the point content when set: scalar runs keep
+            # their historical content hashes (warm caches stay warm).
+            fixed["fast_path"] = True
+        spec = SweepSpec.grid(
+            "R1",
+            axes={"loss_rate": loss_rates},
+            fixed=fixed,
+            x_axis="loss_rate",
         )
-    fixed: Dict[str, Any] = {
-        "n_vcs": n_vcs,
-        "sdu_size": sdu_size,
-        "window": window,
-        "seed": seed,
-    }
-    if fast_path:
-        # Only part of the point content when set: scalar runs keep
-        # their historical content hashes (warm caches stay warm).
-        fixed["fast_path"] = True
-    spec = SweepSpec.grid(
-        "R1",
-        axes={"loss_rate": loss_rates},
-        fixed=fixed,
-        x_axis="loss_rate",
-    )
-    sweep_run = run_sweep(spec, _r1_point, workers=workers, store=store, log=log)
-    series = sweep_run.series(name="goodput under loss", x_label="loss_rate")
-    series.x_label = "cell_loss_rate"
-    base = lab_host(aurora_oc12())
-    result = ExperimentResult(
-        experiment_id="R1",
-        title=f"Goodput under cell loss, EPD/PPD vs none ({base.link.name})",
-        series=series,
-    )
-    off_col = series.column("discard_off_mbps")
-    on_col = series.column("epd_ppd_mbps")
-    for p, off, on in zip(series.x, off_col, on_col):
-        result.metrics[f"epd_gain_mbps_at_{p:g}"] = on - off
-    result.notes.append(
-        "frame discard turns random cell holes into whole-frame drops: "
-        "the engine spends its limited cycles only on frames that can "
-        "still be delivered intact"
-    )
-    return result
-
-
-def _run_r1_custom(
-    config: NicConfig,
-    loss_rates: Sequence[float],
-    n_vcs: int,
-    sdu_size: int,
-    window: float,
-    seed: int,
-    fast_path: bool = False,
-) -> ExperimentResult:
-    """The non-sweep R1 path for caller-supplied configurations."""
-    base = lab_host(config)
-    series = Series(name="goodput under loss", x_label="cell_loss_rate")
-    for p in loss_rates:
-        point = _r1_measure(
-            base, p, n_vcs, sdu_size, window, seed, fast_path=fast_path
-        )
-        series.add_point(p, **point)
+        sweep_run = run_sweep(spec, _r1_point, workers=workers, store=store, log=log)
+        series = sweep_run.series(name="goodput under loss", x_label="loss_rate")
+        series.x_label = "cell_loss_rate"
     result = ExperimentResult(
         experiment_id="R1",
         title=f"Goodput under cell loss, EPD/PPD vs none ({base.link.name})",

@@ -36,7 +36,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.atm.signalling import SIGNALLING_VC, SignallingAgent
 from repro.faults.audit import CellConservationAuditor
-from repro.net import Testbed
+from repro.net import ScenarioHandle, Testbed
 from repro.nic.config import aurora_oc3
 from repro.obs.metrics import MetricsRegistry, instrument
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
@@ -62,9 +62,9 @@ def _jain(values) -> float:
     return square_of_sum / (len(values) * sum_of_squares)
 
 
-def _churn_run(
+def churn_scenario(
+    sim: Simulator,
     seed: int,
-    duration: float,
     arrival_rate: float,
     holding_time: float,
     peak_rate_bps: float,
@@ -72,10 +72,14 @@ def _churn_run(
     sdu_size: int,
     cam_entries: int,
     reassembly_quota: int,
-    fast_path: bool = False,
-) -> Dict[str, float]:
-    """One churn history; returns its scalar observables."""
-    sim = Simulator(SimConfig(fast_path=fast_path))
+) -> ScenarioHandle:
+    """S1's scenario: Poisson session churn through a two-switch fabric.
+
+    Sessions arrive at *arrival_rate*, hold *holding_time*, book
+    *peak_rate_bps* through CAC and push *pdus_per_session* PDUs of
+    *sdu_size* bytes; the callee's CAM holds *cam_entries* LRU entries
+    and *reassembly_quota* contexts.  All draws come from *seed*.
+    """
     streams = RandomStreams(seed)
     cfg = replace(
         aurora_oc3(),
@@ -159,20 +163,55 @@ def _churn_run(
     callee_sig.on_user_pdu = lambda completion: engine.record_delivery(
         completion.vc, completion.size
     )
+    engine.start()
+    callee.start()
+    return ScenarioHandle(
+        hosts=net.hosts,
+        links=net.links,
+        ports=net.ports,
+        agents={
+            "callee_sig": callee_sig,
+            "caller_sig": caller_sig,
+            "cac": cac,
+            "sessions": engine,
+        },
+        auditor=auditor,
+    )
+
+
+def _churn_run(
+    seed: int,
+    duration: float,
+    arrival_rate: float,
+    holding_time: float,
+    peak_rate_bps: float,
+    pdus_per_session: int,
+    sdu_size: int,
+    cam_entries: int,
+    reassembly_quota: int,
+    fast_path: bool = False,
+) -> Dict[str, float]:
+    """One churn history; returns its scalar observables."""
+    sim = Simulator(SimConfig(fast_path=fast_path))
+    scenario = churn_scenario(
+        sim, seed, arrival_rate, holding_time, peak_rate_bps,
+        pdus_per_session, sdu_size, cam_entries, reassembly_quota,
+    )
+    caller, callee = scenario.hosts["caller"], scenario.hosts["callee"]
+    engine = scenario.agents["sessions"]
+    auditor = scenario.auditor
 
     # The registry exists to prove the cardinality bound: at thousands
     # of VCs its length must stay O(top-K), not O(VCs).
     registry = MetricsRegistry(sim)
     instrument(registry, caller, prefix="caller.")
     instrument(registry, callee, prefix="callee.")
-    instrument(registry, net.ports["p-egress"], prefix="egress.")
-    instrument(registry, caller_sig, prefix="sig.")
-    instrument(registry, cac, prefix="cac.")
+    instrument(registry, scenario.ports["p-egress"], prefix="egress.")
+    instrument(registry, scenario.agents["caller_sig"], prefix="sig.")
+    instrument(registry, scenario.agents["cac"], prefix="cac.")
     instrument(registry, engine, prefix="sessions.")
     instrument(registry, auditor)
 
-    engine.start()
-    callee.start()
     sim.run(until=duration)
     engine.stop()
     ledger = auditor.snapshot()

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence
 
 from repro.atm.addressing import VcAddress
-from repro.net import Testbed
+from repro.net import ScenarioHandle, Testbed
 from repro.nic.config import aurora_oc3
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
 from repro.sim.core import SimConfig, Simulator
@@ -47,23 +47,33 @@ from repro.workloads.generators import GreedySource
 C1_TARGET_UTILIZATION = 0.95
 
 
-def _bottleneck_run(
+def _weights(n_sources: int) -> Dict[VcAddress, int]:
+    """Source *i*'s VC and its ERICA weight ``i + 1``."""
+    return {VcAddress(0, 32 + i): i + 1 for i in range(n_sources)}
+
+
+def bottleneck_scenario(
+    sim: Simulator,
     seed: int,
     closed_loop: bool,
-    duration: float,
-    warmup: float,
     n_sources: int,
     buffer_cells: int,
     efci_threshold: int,
     sdu_size: int,
-    fast_path: bool = False,
-) -> Dict[str, float]:
-    """One arm of a C1 point; returns its scalar observables."""
-    sim = Simulator(SimConfig(fast_path=fast_path))
+) -> ScenarioHandle:
+    """C1's scenario: greedy sources converging on a 2-switch bottleneck.
+
+    *n_sources* greedy sources share the ``sw1 -> sw2`` port
+    (*buffer_cells* deep) towards one destination.  With *closed_loop*
+    every source runs ABR under an ERICA allocator on ``sw1`` and the
+    port EFCI-marks above *efci_threshold*; without it each VC is
+    shaped to a static, overbooked contract peak.  Start times are
+    jittered from *seed*.  The delivery log holds ``(time, vc, size)``.
+    """
     streams = RandomStreams(seed)
     cfg = aurora_oc3()
     spec = cfg.link
-    weights = {VcAddress(0, 32 + i): i + 1 for i in range(n_sources)}
+    weights = _weights(n_sources)
     vcs = sorted(weights, key=lambda vc: vc.vci)
 
     tb = Testbed(default_config=cfg)
@@ -103,17 +113,16 @@ def _bottleneck_run(
     net = tb.build(sim)
     sources = [net.hosts[f"s{i}"] for i in range(n_sources)]
     dest = net.hosts["d"]
-    mid = net.links["sw1->sw2"]
-    bottleneck = net.ports["bottleneck"]
+    scenario = ScenarioHandle(hosts=net.hosts, links=net.links, ports=net.ports)
 
     if closed_loop:
-        EricaAllocator(
+        scenario.agents["erica"] = EricaAllocator(
             sim,
             net.switches["sw1"],
             target_utilization=C1_TARGET_UTILIZATION,
             weight_of=weights.get,
         )
-        AbrAgent(sim, dest)  # turnaround side
+        scenario.agents["d"] = AbrAgent(sim, dest)  # turnaround side
         params = AbrParams(
             pcr=spec.cell_rate,
             icr=spec.cell_rate / 16.0,
@@ -123,8 +132,9 @@ def _bottleneck_run(
         for i, vc in enumerate(vcs):
             agent = AbrAgent(sim, sources[i])
             agent.add_vc(vc, params)
+            scenario.agents[f"s{i}"] = agent
 
-    completions: list = []
+    completions = scenario.delivered
     dest.on_pdu = lambda c: completions.append((sim.now, c.vc, c.size))
 
     start_rng = streams.stream("c1.start")
@@ -136,6 +146,31 @@ def _bottleneck_run(
         # across the sweep (the arms of one point share the draws).
         sim.schedule_call(start_rng.uniform(0.0, 2e-3), source.start)
     dest.start()
+    return scenario
+
+
+def _bottleneck_run(
+    seed: int,
+    closed_loop: bool,
+    duration: float,
+    warmup: float,
+    n_sources: int,
+    buffer_cells: int,
+    efci_threshold: int,
+    sdu_size: int,
+    fast_path: bool = False,
+) -> Dict[str, float]:
+    """One arm of a C1 point; returns its scalar observables."""
+    sim = Simulator(SimConfig(fast_path=fast_path))
+    scenario = bottleneck_scenario(
+        sim, seed, closed_loop, n_sources, buffer_cells, efci_threshold,
+        sdu_size,
+    )
+    weights = _weights(n_sources)
+    vcs = sorted(weights, key=lambda vc: vc.vci)
+    mid = scenario.links["sw1->sw2"]
+    bottleneck = scenario.ports["bottleneck"]
+    completions = scenario.delivered
 
     snap: Dict[str, Any] = {}
 
@@ -151,7 +186,7 @@ def _bottleneck_run(
 
     window = duration - warmup
     utilization = (mid.cells_sent.count - snap["mid_cells"]) / (
-        window * spec.cell_rate
+        window * mid.spec.cell_rate
     )
     delivered = {
         vc: sum(size for _, c_vc, size in completions if c_vc == vc)

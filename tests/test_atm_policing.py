@@ -31,6 +31,14 @@ class TestGcra:
         assert gcra.conforms(0.0)  # TAT=2ms
         assert not gcra.conforms(0.0)  # TAT=3ms, 0 < 3ms - 2ms
 
+    def test_cell_on_the_boundary_conforms_despite_rounding(self):
+        # tau = T admits one back-to-back cell; arrival + T - T rounds
+        # to just above the arrival time for this arrival.
+        gcra = Gcra(increment=0.00390625, tolerance=0.00390625)
+        arrival = 0.00038110533366828356
+        assert gcra.conforms(arrival)
+        assert gcra.conforms(arrival)
+
     def test_violating_cell_does_not_advance_tat(self):
         gcra = Gcra.for_rate(1000.0)
         gcra.conforms(0.0)

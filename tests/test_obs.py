@@ -2,7 +2,9 @@
 
 import io
 import json
+import sys
 import time
+from collections import Counter as TallyCounter
 
 import pytest
 
@@ -21,9 +23,18 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.runner import TRACEABLE, run_traced
-from repro.results.experiments import lab_host, run_o1
+from repro.resilience.experiment import run_r2
+from repro.results.experiments import (
+    lab_host,
+    run_f2,
+    run_f3,
+    run_o1,
+    run_r1,
+)
+from repro.scale.experiment import run_s1
 from repro.results.tables import format_csv
 from repro.sim.core import Simulator
+from repro.tm.experiment import run_c1
 from repro.workloads.generators import GreedySource
 from repro.workloads.scenarios import build_point_to_point
 
@@ -289,16 +300,6 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError, match="PhysicalLink"):
             instrument(MetricsRegistry(sim), object())
 
-    def test_deprecated_aliases_warn_and_still_work(self, sim):
-        from repro.atm.link import PhysicalLink
-        from repro.obs import instrument_link
-
-        registry = MetricsRegistry(sim)
-        link = PhysicalLink(sim, aurora_oc3().link, name="wire")
-        with pytest.warns(DeprecationWarning, match="instrument_link"):
-            instrument_link(registry, link)
-        assert "link.cells_sent" in registry
-
     def test_r1_campaign_metrics_account_for_loss(self):
         run = run_traced("r1", duration=2e-3)
         snap = run.registry.snapshot()
@@ -355,8 +356,10 @@ class TestCycleProfiler:
 
 class TestRunnerAndExperiment:
     def test_every_traceable_scenario_runs(self):
+        # Each at its default window: S1's first Poisson call lands
+        # after 4 ms, so a shorter smoke window can be legitimately idle.
         for name in TRACEABLE:
-            run = run_traced(name, duration=1e-3)
+            run = run_traced(name)
             assert len(run.recorder) > 0, name
             assert run.registry.samples_taken > 0, name
 
@@ -394,6 +397,82 @@ class TestRunnerAndExperiment:
         assert result.metrics["rx_middle_cycles"] == 22
         assert result.metrics["max_deviation_cycles"] == 0
         assert result.rows
+
+
+#: Each traceable id's gated experiment, shrunk to run in a blink.
+GATED_RUNS = {
+    "f2": lambda: run_f2(sizes=(1024,), window=1e-3),
+    "f3": lambda: run_f3(sizes=(1024,), window=1e-3),
+    "r1": lambda: run_r1(loss_rates=(0.01,), window=1e-3),
+    "r2": lambda: run_r2(
+        seeds=[1], duration=2e-3, flap_start=5e-4, flap_down=5e-4
+    ),
+    "c1": lambda: run_c1(seeds=[1], duration=2e-3, warmup=1e-3),
+    "s1": lambda: run_s1(seeds=[1], duration=5e-3),
+}
+
+#: Events each trace must show at its default window.
+REQUIRED_EVENTS = {
+    "r2": (
+        "oam.cc.loc",
+        "oam.alarm.raised",
+        "oam.alarm.received",
+        "oam.alarm.cleared",
+        "link.supervisor.state",
+        "sig.retransmit",
+        "sig.call.restored",
+    ),
+    "c1": (
+        "rm.cell.sent",
+        "rm.cell.marked",
+        "rm.cell.turnaround",
+        "abr.rate.update",
+        "port.efci",
+    ),
+    "s1": (
+        "rx.cam.hit",
+        "rx.cam.miss",
+        "rx.cam.evict",
+        "cell.drop",
+        "link.cell.sent",
+        "link.cell.delivered",
+    ),
+}
+
+
+class TestTracedScenarios:
+    """``repro trace`` runs the scenario builders the gates measure."""
+
+    def test_every_gated_id_is_traceable(self):
+        assert set(TRACEABLE) == set(GATED_RUNS) | {"quickstart"}
+
+    @pytest.mark.parametrize("trace_id", sorted(GATED_RUNS))
+    def test_gated_run_calls_the_traced_builder(self, trace_id, monkeypatch):
+        builder = TRACEABLE[trace_id].builder()
+        module = sys.modules[builder.__module__]
+        assert getattr(module, builder.__name__) is builder
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(module, builder.__name__, spy)
+        GATED_RUNS[trace_id]()
+        assert calls, f"{trace_id}'s run never called {builder.__name__}"
+
+    @pytest.mark.parametrize("trace_id", sorted(REQUIRED_EVENTS))
+    def test_required_events(self, trace_id):
+        run = run_traced(trace_id)
+        tally = TallyCounter(e.name for e in run.recorder.events)
+        missing = [name for name in REQUIRED_EVENTS[trace_id] if not tally[name]]
+        assert not missing, f"{trace_id} trace lacks {missing}"
+
+    def test_f3_trace_tags_every_cell(self):
+        run = run_traced("f3", duration=1e-3)
+        ids = [e.cell_id for e in run.recorder.by_name("fifo.enq")]
+        assert ids and None not in ids
+        assert len(set(ids)) == len(ids)
 
 
 class TestFormatCsv:
