@@ -23,12 +23,13 @@ from typing import List, Optional, Sequence
 from repro.atm.errors import CompositeLoss
 from repro.faults.audit import CellConservationAuditor, ConservationLedger
 from repro.faults.plan import FaultPlan
+from repro.net import Scenario
 from repro.nic.config import NicConfig
 from repro.nic.nic import NicStats
 from repro.sim.core import Simulator
 from repro.sim.random import RandomStreams
 from repro.workloads.generators import GreedySource
-from repro.workloads.scenarios import PointToPoint, build_point_to_point
+from repro.workloads.scenarios import build_point_to_point
 
 
 @dataclass(frozen=True)
@@ -108,16 +109,16 @@ class FaultCampaign:
         self.sim = Simulator()
         #: Plans stack their loss episodes onto this composite.
         self.link_loss = CompositeLoss()
-        self.scenario: PointToPoint = build_point_to_point(
+        self.scenario: Scenario = build_point_to_point(
             self.sim,
             config,
             n_vcs=self.spec.n_vcs,
             loss_ab=self.link_loss,
         )
-        self.sender = self.scenario.sender
-        self.receiver = self.scenario.receiver
+        self.sender = self.scenario.hosts["sender"]
+        self.receiver = self.scenario.hosts["receiver"]
         self.vcs = self.scenario.vcs
-        self.link = self.scenario.link_ab
+        self.link = self.scenario.links["sender->receiver"]
         self.auditor = CellConservationAuditor(self.link, self.receiver)
         self.sources: List[GreedySource] = [
             GreedySource(
@@ -155,7 +156,9 @@ class FaultCampaign:
         for source in self.sources:
             source.start()
         self.sim.run(until=self.spec.duration)
-        goodput = self.scenario.goodput_mbps(self.spec.duration)
+        delivered_bytes = sum(c.size for c in self.scenario.delivered)
+        span = self.spec.duration
+        goodput = (delivered_bytes * 8 / span) / 1e6 if span > 0 else 0.0
         self.sim.run(until=self.spec.duration + self.drain_time)
         ledger = self.auditor.snapshot()
         return CampaignResult(
@@ -163,7 +166,7 @@ class FaultCampaign:
             stats=self.receiver.stats(),
             spec=self.spec,
             seed=self.seed,
-            pdus_received=len(self.scenario.received),
+            pdus_received=len(self.scenario.delivered),
             goodput_mbps=goodput,
             ended_at=self.sim.now,
         )

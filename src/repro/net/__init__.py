@@ -2,12 +2,12 @@
 
 The experiments' answer to hand-wired topology blocks: declare hosts,
 switches, links and VC paths; ``build(sim)`` realises them in a
-deterministic order and hands back the live objects by name.  Scenario
-builders hand their wired parts to the measurement (and to ``repro
-trace``) as a :class:`ScenarioHandle`.  See ``docs/SCALE.md`` for the
+deterministic order and hands back the live objects by name as a
+:class:`Scenario`, which scenario builders also hand to their
+measurement (and to ``repro trace``).  See ``docs/SCALE.md`` for the
 before/after.
 """
 
-from repro.net.testbed import Scenario, ScenarioHandle, Testbed
+from repro.net.testbed import Scenario, Testbed
 
-__all__ = ["Scenario", "ScenarioHandle", "Testbed"]
+__all__ = ["Scenario", "Testbed"]

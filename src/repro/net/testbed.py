@@ -16,9 +16,12 @@ replaces that with declarations::
     net = tb.build(sim)
 
 ``build`` returns a :class:`Scenario` holding the live objects by name
-(``net.hosts["s0"]``, ``net.ports["bottleneck"]``...), with dynamic
-route management (:meth:`Scenario.add_route` /
-:meth:`Scenario.remove_route`) for session churn.
+(``net.hosts["s0"]``, ``net.ports["bottleneck"]``...) and the declared
+VCs (``net.vcs``), with dynamic route management
+(:meth:`Scenario.add_route` / :meth:`Scenario.remove_route`) for
+session churn.  A scenario builder sets its agents, auditor and
+delivery log on the same object and returns it to its measurement and
+to ``repro trace``.
 
 Determinism contract: only :class:`HostNetworkInterface` construction
 touches the simulator's event-sequence numbering, and hosts are built
@@ -89,19 +92,42 @@ class _PathDecl:
     peak_rate_bps: Optional[float]
 
 
+@dataclass
 class Scenario:
-    """The live objects a :class:`Testbed` build produced, by name."""
+    """A wired experiment scenario, before it runs: its live parts by name.
 
-    def __init__(self) -> None:
-        self.hosts: Dict[str, HostNetworkInterface] = {}
-        self.switches: Dict[str, AtmSwitch] = {}
-        self.links: Dict[str, PhysicalLink] = {}
-        self.ports: Dict[str, OutputPort] = {}
-        #: (switch, upstream-neighbour) -> the switch input index the
-        #: neighbour's cells arrive on.  Route helpers consult these so
-        #: callers never touch port indices.
-        self._in_index: Dict[Tuple[str, str], int] = {}
-        self._out_index: Dict[Tuple[str, str], int] = {}
+    :meth:`Testbed.build` fills the topology (hosts, switches, links,
+    ports and the declared :meth:`Testbed.vc` addresses); a scenario
+    builder adds the actors and observation hooks its measurement
+    reads.  ``repro trace`` calls the same builder and attaches its
+    recorder, profiler and metrics registry to every part before the
+    run, so the traced scenario is the gated one.
+    """
+
+    hosts: Dict[str, HostNetworkInterface] = field(default_factory=dict)
+    switches: Dict[str, AtmSwitch] = field(default_factory=dict)
+    links: Dict[str, PhysicalLink] = field(default_factory=dict)
+    ports: Dict[str, OutputPort] = field(default_factory=dict)
+    #: The :meth:`Testbed.vc` addresses, in declaration order.
+    vcs: List[VcAddress] = field(default_factory=list)
+    #: Control-plane and workload actors: signalling agents,
+    #: supervisors, the call restorer, ABR/ERICA/CAC, session engines.
+    agents: Dict[str, Any] = field(default_factory=dict)
+    #: The cell-conservation auditor, when the scenario keeps a ledger.
+    auditor: Any = None
+    #: Delivery log the scenario's receive callback appends to.
+    delivered: List[Any] = field(default_factory=list)
+    #: Calls the workload saw connect (signalled scenarios).
+    calls: List[Any] = field(default_factory=list)
+    #: (switch, upstream-neighbour) -> the switch input index the
+    #: neighbour's cells arrive on.  Route helpers consult these so
+    #: callers never touch port indices.
+    _in_index: Dict[Tuple[str, str], int] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _out_index: Dict[Tuple[str, str], int] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     # -- dynamic routing (session churn) ---------------------------------
 
@@ -133,31 +159,6 @@ class Scenario:
         """Tear down what :meth:`add_route` installed (RELEASE time)."""
         for node, in_idx, _out_idx in self._hops(path):
             self.switches[node].remove_routes(in_idx, address)
-
-
-@dataclass
-class ScenarioHandle:
-    """A wired experiment scenario, before it runs: its live parts by role.
-
-    Each traced experiment splits into a scenario builder that returns
-    one of these and a measurement that runs the simulator and reads
-    it.  ``repro trace`` calls the same builder and attaches its
-    recorder, profiler and metrics registry to every part before the
-    run, so the traced scenario is the gated one.
-    """
-
-    hosts: Dict[str, HostNetworkInterface] = field(default_factory=dict)
-    links: Dict[str, PhysicalLink] = field(default_factory=dict)
-    ports: Dict[str, OutputPort] = field(default_factory=dict)
-    #: Control-plane and workload actors: signalling agents,
-    #: supervisors, the call restorer, ABR/ERICA/CAC, session engines.
-    agents: Dict[str, Any] = field(default_factory=dict)
-    #: The cell-conservation auditor, when the scenario keeps a ledger.
-    auditor: Any = None
-    #: Delivery log the scenario's receive callback appends to.
-    delivered: List[Any] = field(default_factory=list)
-    #: Calls the workload saw connect (signalled scenarios).
-    calls: List[Any] = field(default_factory=list)
 
 
 class Testbed:
@@ -407,6 +408,7 @@ class Testbed:
         for pd in self._paths:
             net.add_route(pd.address, pd.path)
             if pd.open_endpoints:
+                net.vcs.append(pd.address)
                 net.hosts[pd.path[0]].open_vc(
                     address=pd.address, peak_rate_bps=pd.peak_rate_bps
                 )

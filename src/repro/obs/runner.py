@@ -4,9 +4,9 @@ Each traceable id names the scenario builder its gated experiment
 calls (``flap_scenario`` for R2, ``churn_scenario`` for S1, ...) and
 the trace-sized arguments to call it with.  The runner builds that
 scenario, attaches a :class:`TraceRecorder`, a :class:`CycleProfiler`
-and a :class:`MetricsRegistry` to every part the builder's
-:class:`~repro.net.ScenarioHandle` holds, and runs it for a short
-window -- a trace is for looking at individual cells, not for
+and a :class:`MetricsRegistry` to every host, link, port, agent and
+auditor the builder's :class:`~repro.net.Scenario` holds, and runs it
+for a short window -- a trace is for looking at individual cells, not for
 converged averages.  Because the wiring is the gated code itself, what
 Perfetto shows is the pipeline ``repro bench --check`` measures.
 
@@ -45,7 +45,7 @@ from repro.obs.trace import TraceRecorder
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - repro.obs imports no pipeline package
-    from repro.net import ScenarioHandle
+    from repro.net import Scenario
 
 
 @dataclass
@@ -103,7 +103,7 @@ class TracedRun:
             self.registry.to_json(path)
 
 
-def attach(run: TracedRun, scenario: "ScenarioHandle") -> None:
+def attach(run: TracedRun, scenario: "Scenario") -> None:
     """Instrument every part of a built, not-yet-run scenario.
 
     Each host gets the recorder through ``attach_trace`` and the
@@ -111,7 +111,8 @@ def attach(run: TracedRun, scenario: "ScenarioHandle") -> None:
     gets the recorder; every part whose type :func:`instrument` knows
     registers its metrics.  A part whose instrumenter's default names
     are already taken (a second link, signalling agent or supervisor)
-    registers under its own name instead.
+    registers under its own name instead.  Switches are left
+    uninstrumented.
     """
     hosts = list(scenario.hosts.values())
     for nic in hosts:

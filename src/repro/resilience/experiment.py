@@ -38,7 +38,7 @@ from repro.atm.signalling import (
     SignallingTimers,
 )
 from repro.faults.audit import CellConservationAuditor
-from repro.net import ScenarioHandle, Testbed
+from repro.net import Scenario, Testbed
 from repro.nic.config import aurora_oc3
 from repro.resilience.restore import CallRestorer
 from repro.resilience.supervisor import LinkSupervisor, SupervisorConfig
@@ -81,7 +81,7 @@ def flap_scenario(
     n_calls: int,
     sdu_size: int,
     send_gap: float,
-) -> ScenarioHandle:
+) -> Scenario:
     """R2's scenario: signalled calls across a flapping link.
 
     Two interfaces, a signalling agent on each, the forward link fully
@@ -102,17 +102,12 @@ def flap_scenario(
     tb.connect("a", "b", loss_ab=flap)
     net = tb.build(sim)
     a, b = net.hosts["a"], net.hosts["b"]
-    auditor = CellConservationAuditor(net.links["a->b"], b)
+    net.auditor = CellConservationAuditor(net.links["a->b"], b)
 
     sig_b = SignallingAgent(sim, b, streams=streams, timers=R2_TIMERS if recovery else None)
     sig_a = SignallingAgent(sim, a, streams=streams, timers=R2_TIMERS if recovery else None)
-    scenario = ScenarioHandle(
-        hosts=net.hosts,
-        links=net.links,
-        agents={"sig_a": sig_a, "sig_b": sig_b},
-        auditor=auditor,
-    )
-    sig_b.on_user_pdu = scenario.delivered.append
+    net.agents.update(sig_a=sig_a, sig_b=sig_b)
+    sig_b.on_user_pdu = net.delivered.append
 
     restorer: Optional[CallRestorer] = None
     if recovery:
@@ -123,7 +118,7 @@ def flap_scenario(
         sup_a.start()
         sup_b.start()
         restorer = CallRestorer(sim, sig_a, sup_a, on_restored=None)
-        scenario.agents.update(sup_a=sup_a, sup_b=sup_b, restorer=restorer)
+        net.agents.update(sup_a=sup_a, sup_b=sup_b, restorer=restorer)
 
     payload = bytes(sdu_size)
 
@@ -132,7 +127,7 @@ def flap_scenario(
             address = yield call.connected
         except CallRefused:
             return
-        scenario.calls.append(address)
+        net.calls.append(address)
         while sim.now < duration and call.state is CallState.ACTIVE:
             yield a.send(address, payload)
             yield sim.timeout(send_gap)
@@ -149,7 +144,7 @@ def flap_scenario(
 
     for start_at in _call_start_times(n_calls, flap_start, flap_down):
         sim.process(place(start_at))
-    return scenario
+    return net
 
 
 def _flap_run(

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.aal.aal5 import Aal5Segmenter, cells_for_sdu
+from repro.aal.aal5 import cells_for_sdu
 from repro.atm.addressing import VcAddress
-from repro.atm.burst import CellBurst
 from repro.analysis.latency import latency_model
 from repro.analysis.sweep import Series
 from repro.analysis.throughput import (
@@ -47,10 +46,10 @@ from repro.baselines.hardwired import hardwired_config
 from repro.baselines.host_sar import HostSarConfig, HostSarInterface
 from repro.baselines.shared_proc import share_engine
 from repro.faults.audit import CellConservationAuditor
-from repro.net import ScenarioHandle
+from repro.net import Scenario
 from repro.nic.config import NicConfig, aurora_oc3, aurora_oc12
 from repro.nic.costs import CellPosition
-from repro.nic.nic import HostNetworkInterface, connect
+from repro.nic.nic import HostNetworkInterface
 from repro.results.tables import format_series, format_table
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
 from repro.sim.core import SimConfig, Simulator
@@ -63,7 +62,6 @@ from repro.workloads.generators import (
 )
 from repro.workloads.scenarios import (
     InterleavedCellSource,
-    PointToPoint,
     build_point_to_point,
 )
 
@@ -238,39 +236,29 @@ def run_t2(
 # F2 / F3: throughput vs PDU size
 # ---------------------------------------------------------------------------
 
-def _handle_of(scenario: PointToPoint) -> ScenarioHandle:
-    hosts = (scenario.sender, scenario.receiver)
-    links = (scenario.link_ab, scenario.link_ba)
-    return ScenarioHandle(
-        hosts={nic.name: nic for nic in hosts},
-        links={link.name: link for link in links},
-        delivered=scenario.received,
-    )
-
-
 def transmit_scenario(
     sim: Simulator, config: Optional[NicConfig] = None, sdu_size: int = 9180
-) -> ScenarioHandle:
+) -> Scenario:
     """F2's scenario: a greedy sender over a clean point-to-point link.
 
     *config* defaults to F2's interface lane, the aurora OC-3 adaptor
     with free host software (:func:`lab_host`).
     """
     config = config if config is not None else lab_host(aurora_oc3())
-    scenario = build_point_to_point(sim, config)
-    GreedySource(sim, scenario.sender, scenario.vc, sdu_size).start()
-    return _handle_of(scenario)
+    net = build_point_to_point(sim, config)
+    GreedySource(sim, net.hosts["sender"], net.vcs[0], sdu_size).start()
+    return net
 
 
-def quickstart_scenario(sim: Simulator) -> ScenarioHandle:
+def quickstart_scenario(sim: Simulator) -> Scenario:
     """The README quickstart exchange: five 4,096-byte PDUs, full host costs.
 
     Not an experiment: ``repro trace quickstart`` runs it to show the
     interrupt and driver stages that :func:`lab_host` removes from F2.
     """
-    scenario = build_point_to_point(sim, aurora_oc3())
-    GreedySource(sim, scenario.sender, scenario.vc, 4096, total_pdus=5).start()
-    return _handle_of(scenario)
+    net = build_point_to_point(sim, aurora_oc3())
+    GreedySource(sim, net.hosts["sender"], net.vcs[0], 4096, total_pdus=5).start()
+    return net
 
 
 def run_f2(
@@ -330,70 +318,44 @@ def run_f2(
     return result
 
 
+def _backlogged_wire(nic: HostNetworkInterface, sdu_size: int) -> None:
+    """Open a VC on *nic* and feed its RX FIFO back-to-back PDUs on it.
+
+    Cells arrive at link rate, the first one slot in, but never
+    overrun: the put blocks while the FIFO is full (upstream
+    buffering).
+    """
+    link = nic.config.link
+    source = InterleavedCellSource(
+        nic.sim,
+        nic.rx_engine,
+        link,
+        n_vcs=1,
+        sdu_size=sdu_size,
+        blocking_fifo=nic.rx_fifo,
+    )
+    nic.open_vc(address=source.vcs[0])
+    nic.sim.schedule_call(link.cell_time, source.start)
+
+
 def receive_scenario(
     sim: Simulator, config: Optional[NicConfig] = None, sdu_size: int = 9180
-) -> ScenarioHandle:
+) -> Scenario:
     """F3's scenario: a backlogged wire feeding one adaptor's RX FIFO.
 
     Cells arrive at link rate but never overrun (upstream buffering).
     *config* defaults to the aurora OC-3 adaptor with free host
-    software (:func:`lab_host`).  The feeder stands in for a transmit
+    software (:func:`lab_host`).  The wire stands in for a transmit
     engine, so like one it tags each cell with a trace id when the
     FIFO it feeds is traced.
     """
     config = config if config is not None else lab_host(aurora_oc3())
     nic = HostNetworkInterface(sim, config, name="rxhost")
-    received: List = []
-    nic.on_pdu = received.append
-    vc = nic.open_vc(address=VcAddress(0, 100))
+    net = Scenario(hosts={"rxhost": nic})
+    nic.on_pdu = net.delivered.append
     nic.start()
-    fifo = nic.rx_fifo
-    segmenter = Aal5Segmenter(vc.address)
-    payload = make_payload(sdu_size)
-
-    def feeder():
-        while True:
-            for cell in segmenter.segment(payload):
-                yield sim.timeout(config.link.cell_time)
-                if fifo.trace is not None:
-                    fifo.trace.tag_cell(cell)
-                yield fifo.put(cell)
-
-    def feeder_fast():
-        # Burst-mode wire: same slot-spaced arrival chain as the
-        # scalar feeder (cell *i* at ``(i+1) * cell_time``, shifted
-        # only while backpressured), pre-announced in batches.  The
-        # chain is built with the same iterated float adds as the
-        # scalar clock so the arrival values are bit-identical.
-        slot = config.link.cell_time
-        burst_len = max(1, min(sim.config.burst_cells, fifo.depth_cells // 2))
-        pending: List = []
-        last = 0.0
-        while True:
-            while len(pending) < burst_len:
-                pending.extend(segmenter.segment(payload))
-            cells = pending[:burst_len]
-            del pending[:burst_len]
-            if fifo.trace is not None:
-                for cell in cells:
-                    fifo.trace.tag_cell(cell)
-            arrivals = []
-            for _ in range(burst_len):
-                last = last + slot
-                arrivals.append(last)
-            accept = fifo.put_burst(CellBurst(cells, arrivals))
-            blocked = not accept.triggered
-            yield accept
-            if blocked:
-                # Backpressured: the scalar chain restarts from the
-                # unblock time (arrivals are engine-dominated here).
-                last = max(sim.now, last)
-            wait = last - sim.now
-            if wait > 0:
-                yield sim.timeout(wait)
-
-    sim.process(feeder_fast() if sim.config.fast_path else feeder())
-    return ScenarioHandle(hosts={"rxhost": nic}, delivered=received)
+    _backlogged_wire(nic, sdu_size)
+    return net
 
 
 def run_f3(
@@ -466,15 +428,15 @@ def run_f4(
     measured_by_size: Dict[int, float] = {}
     for size in sizes:
         sim = Simulator()
-        scenario = build_point_to_point(
+        net = build_point_to_point(
             sim, config, propagation_delay=propagation_delay
         )
         # Time the full user-to-user path: from the send call on the
         # sending host to the receive callback on the receiving host.
         delivery_times: List[float] = []
-        scenario.receiver.on_pdu = lambda _c: delivery_times.append(sim.now)
+        net.hosts["receiver"].on_pdu = lambda _c: delivery_times.append(sim.now)
         post_time = sim.now
-        scenario.sender.post(scenario.vc, make_payload(size))
+        net.hosts["sender"].post(net.vcs[0], make_payload(size))
         sim.run(until=1.0)
         measured_by_size[size] = (
             delivery_times[0] - post_time if delivery_times else float("nan")
@@ -548,14 +510,14 @@ def run_t3(
     for size in sizes:
         # Offloaded: measured host cycles per PDU end to end.
         sim = Simulator()
-        scenario = build_point_to_point(sim, nic_config)
+        net = build_point_to_point(sim, nic_config)
         GreedySource(
-            sim, scenario.sender, scenario.vc, size, total_pdus=pdus
+            sim, net.hosts["sender"], net.vcs[0], size, total_pdus=pdus
         ).start()
         sim.run(until=2.0)
         offl_sim = (
-            scenario.receiver.cpu.total_cycles / len(scenario.received)
-            if scenario.received
+            net.hosts["receiver"].cpu.total_cycles / len(net.delivered)
+            if net.delivered
             else float("nan")
         )
 
@@ -631,18 +593,18 @@ def run_f5(
     for depth in fifo_depths:
         cfg = replace(config, rx_fifo_cells=depth)
         sim = Simulator()
-        scenario = build_point_to_point(sim, cfg)
+        net = build_point_to_point(sim, cfg)
         source = OnOffSource(
             sim,
-            scenario.sender,
-            scenario.vc,
+            net.hosts["sender"],
+            net.vcs[0],
             sdu_size,
             mean_burst_pdus=burst_pdus,
             mean_off_time=2e-3,
         )
         source.start()
         sim.run(until=window)
-        fifo = scenario.receiver.rx_fifo
+        fifo = net.hosts["receiver"].rx_fifo
         series.add_point(
             depth,
             loss_ratio=fifo.loss_ratio,
@@ -692,16 +654,16 @@ def run_t4(
     headrooms = {}
     for config in (aurora_oc3(), aurora_oc12()):
         sim = Simulator()
-        scenario = build_point_to_point(sim, config)
-        GreedySource(sim, scenario.sender, scenario.vc, sdu_size).start()
+        net = build_point_to_point(sim, config)
+        GreedySource(sim, net.hosts["sender"], net.vcs[0], sdu_size).start()
         sim.run(until=window)
-        mem = scenario.receiver.buffer_memory
+        mem = net.hosts["receiver"].buffer_memory
         required = mem.required_bandwidth_bps(window) / 1e6
         available = mem.spec.total_bandwidth_bps / 1e6
         rows.append(
             [
                 config.link.name,
-                scenario.goodput_mbps(window),
+                windowed_goodput_mbps(net.delivered, 0.0, window),
                 required,
                 available,
                 available / required if required else float("inf"),
@@ -1057,6 +1019,31 @@ def run_f7(
     return result
 
 
+def _tx_probe(nic: HostNetworkInterface, name: str) -> List[float]:
+    """Give *nic* a transmit link into a counting sink.
+
+    Returns the log of end-of-frame wire times the sink appends to;
+    :func:`_probe_mbps` turns it into goodput.
+    """
+    sim = nic.sim
+    wire_times: List[float] = []
+
+    def sink(cell) -> None:
+        if cell.end_of_frame:
+            wire_times.append(sim.now)
+
+    nic.attach_tx_link(PhysicalLink(sim, nic.config.link, sink=sink, name=name))
+    return wire_times
+
+
+def _probe_mbps(wire_times: Sequence[float], sdu_size: int) -> float:
+    """Goodput between the first and last frame a TX probe logged."""
+    if len(wire_times) < 3:
+        return 0.0
+    span = wire_times[-1] - wire_times[0]
+    return ((len(wire_times) - 1) * sdu_size * 8 / span) / 1e6 if span > 0 else 0.0
+
+
 def _measure_tx_capacity(
     config: NicConfig, sdu_size: int, window: float, shared: bool = False
 ) -> float:
@@ -1065,21 +1052,11 @@ def _measure_tx_capacity(
     sender = HostNetworkInterface(sim, config, name="txhost")
     if shared:
         share_engine(sender)
-    wire_times: List[float] = []
-
-    def sink(cell) -> None:
-        if cell.end_of_frame:
-            wire_times.append(sim.now)
-
-    link = PhysicalLink(sim, config.link, sink=sink, name="tx-probe")
-    sender.attach_tx_link(link)
+    wire_times = _tx_probe(sender, "tx-probe")
     vc = sender.open_vc()
     GreedySource(sim, sender, vc.address, sdu_size).start()
     sim.run(until=window)
-    if len(wire_times) < 3:
-        return 0.0
-    span = wire_times[-1] - wire_times[0]
-    return ((len(wire_times) - 1) * sdu_size * 8 / span) / 1e6 if span > 0 else 0.0
+    return _probe_mbps(wire_times, sdu_size)
 
 
 def _measure_rx_capacity(
@@ -1092,18 +1069,8 @@ def _measure_rx_capacity(
         share_engine(nic)
     received: List = []
     nic.on_pdu = received.append
-    vc = nic.open_vc(address=VcAddress(0, 100))
     nic.start()
-    segmenter = Aal5Segmenter(vc.address)
-    payload = make_payload(sdu_size)
-
-    def feeder():
-        while True:
-            for cell in segmenter.segment(payload):
-                yield sim.timeout(config.link.cell_time)
-                yield nic.rx_fifo.put(cell)
-
-    sim.process(feeder())
+    _backlogged_wire(nic, sdu_size)
     sim.run(until=window)
     return steady_goodput_mbps(received)
 
@@ -1121,37 +1088,15 @@ def _measure_duplex_aggregate(
     nic = HostNetworkInterface(sim, config, name="duplexhost")
     if shared:
         share_engine(nic)
-    wire_times: List[float] = []
-
-    def sink(cell) -> None:
-        if cell.end_of_frame:
-            wire_times.append(sim.now)
-
-    link = PhysicalLink(sim, config.link, sink=sink, name="duplex-probe")
-    nic.attach_tx_link(link)
+    wire_times = _tx_probe(nic, "duplex-probe")
     tx_vc = nic.open_vc(address=VcAddress(0, 90))
-    rx_vc = nic.open_vc(address=VcAddress(0, 100))
     received: List = []
     nic.on_pdu = received.append
     nic.start()
     GreedySource(sim, nic, tx_vc.address, sdu_size).start()
-    segmenter = Aal5Segmenter(rx_vc.address)
-    payload = make_payload(sdu_size)
-
-    def feeder():
-        while True:
-            for cell in segmenter.segment(payload):
-                yield sim.timeout(config.link.cell_time)
-                yield nic.rx_fifo.put(cell)
-
-    sim.process(feeder())
+    _backlogged_wire(nic, sdu_size)
     sim.run(until=window)
-    tx_mbps = 0.0
-    if len(wire_times) >= 3:
-        span = wire_times[-1] - wire_times[0]
-        if span > 0:
-            tx_mbps = ((len(wire_times) - 1) * sdu_size * 8 / span) / 1e6
-    return tx_mbps + steady_goodput_mbps(received)
+    return _probe_mbps(wire_times, sdu_size) + steady_goodput_mbps(received)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,18 +1135,18 @@ def run_f8(
             rx_throughput_model_mbps(config, size),
         )
         sim = Simulator()
-        scenario = build_point_to_point(sim, lab_host(config))
-        GreedySource(sim, scenario.sender, scenario.vc, size).start()
+        net = build_point_to_point(sim, lab_host(config))
+        GreedySource(sim, net.hosts["sender"], net.vcs[0], size).start()
         sim.run(until=_window_for(size, window, config.link))
-        sim_mbps = steady_goodput_mbps(scenario.received)
+        sim_mbps = steady_goodput_mbps(net.delivered)
         tput_err = abs(sim_mbps - model_mbps) / model_mbps * 100
 
         sim2 = Simulator()
         quiet = build_point_to_point(sim2, config)
         delivery_times: List[float] = []
-        quiet.receiver.on_pdu = lambda _c: delivery_times.append(sim2.now)
+        quiet.hosts["receiver"].on_pdu = lambda _c: delivery_times.append(sim2.now)
         post_time = sim2.now
-        quiet.sender.post(quiet.vc, make_payload(size))
+        quiet.hosts["sender"].post(quiet.vcs[0], make_payload(size))
         sim2.run(until=1.0)
         lat_sim = delivery_times[0] - post_time if delivery_times else float("nan")
         lat_model = latency_model(config, size).total
@@ -1256,10 +1201,10 @@ def run_a1(
             ("aal34_mbps", lab_host(aurora_oc3().with_aal34())),
         ):
             sim = Simulator()
-            scenario = build_point_to_point(sim, config)
-            GreedySource(sim, scenario.sender, scenario.vc, size).start()
+            net = build_point_to_point(sim, config)
+            GreedySource(sim, net.hosts["sender"], net.vcs[0], size).start()
             sim.run(until=run_window)
-            row[label] = steady_goodput_mbps(scenario.received)
+            row[label] = steady_goodput_mbps(net.delivered)
         series.add_point(size, **row)
     result = ExperimentResult(
         experiment_id="A1",
@@ -1368,9 +1313,10 @@ def run_a3(
             interrupt=InterruptSpec(coalesce_window=window_us * 1e-6),
         )
         sim = Simulator()
-        scenario = build_point_to_point(sim, config)
+        net = build_point_to_point(sim, config)
+        receiver = net.hosts["receiver"]
         latencies: List[float] = []
-        inner = scenario.received
+        inner = net.delivered
 
         def on_pdu(completion, latencies=latencies):
             # Time to the *user callback*: the quantity coalescing
@@ -1379,19 +1325,19 @@ def run_a3(
             if completion.posted_at is not None:
                 latencies.append(sim.now - completion.posted_at)
 
-        scenario.receiver.on_pdu = on_pdu
+        receiver.on_pdu = on_pdu
         # Light open-loop load: latency then reflects the unloaded path
         # plus the coalescing delay, not queueing noise.
         PoissonSource(
-            sim, scenario.sender, scenario.vc, sdu_size, pdus_per_second=400.0
+            sim, net.hosts["sender"], net.vcs[0], sdu_size, pdus_per_second=400.0
         ).start()
         sim.run(until=pdus / 400.0)
         delivered = len(latencies)
         rows.append(
             [
                 window_us,
-                scenario.receiver.interrupts.delivered.count,
-                scenario.receiver.cpu.total_cycles / delivered
+                receiver.interrupts.delivered.count,
+                receiver.cpu.total_cycles / delivered
                 if delivered
                 else float("nan"),
                 sum(latencies) / delivered * 1e6 if delivered else float("nan"),
@@ -1469,7 +1415,7 @@ def loss_scenario(
     sdu_size: int,
     seed: int,
     frame_discard: bool,
-) -> ScenarioHandle:
+) -> Scenario:
     """R1's scenario: an interleaved wire through a lossy link.
 
     *n_vcs* interleaved AAL5 streams at link rate cross a link that
@@ -1487,8 +1433,8 @@ def loss_scenario(
         base, frame_discard=FrameDiscardPolicy() if frame_discard else None
     )
     nic = HostNetworkInterface(sim, cfg, name="rxhost")
-    received: List = []
-    nic.on_pdu = received.append
+    net = Scenario(hosts={"rxhost": nic})
+    nic.on_pdu = net.delivered.append
     for i in range(n_vcs):
         nic.open_vc(address=VcAddress(0, 100 + i))
     nic.start()
@@ -1508,12 +1454,9 @@ def loss_scenario(
         n_vcs=n_vcs,
         sdu_size=sdu_size,
     ).start()
-    return ScenarioHandle(
-        hosts={"rxhost": nic},
-        links={"lossy-wire": link},
-        auditor=CellConservationAuditor(link, nic),
-        delivered=received,
-    )
+    net.links["lossy-wire"] = link
+    net.auditor = CellConservationAuditor(link, nic)
+    return net
 
 
 def _r1_point(params: Dict[str, Any], streams: RandomStreams) -> Dict[str, float]:

@@ -108,15 +108,16 @@ def drained_rx_run(
         cells.extend(segmenter.segment(payload))
     slot = config.link.cell_time
 
-    def feeder():
+    def wire():
         for cell in cells:
             yield sim.timeout(slot)
             yield nic.rx_fifo.put(cell)
 
-    def feeder_fast():
-        # Same iterated-add arrival chain as run_f3's burst feeder, over
-        # a finite cell list (see docs/PERFORMANCE.md on why the chain
-        # must be built with repeated adds, never ``base + i * slot``).
+    def wire_fast():
+        # The F3 wire's iterated-add arrival chain (first cell one slot
+        # in), over a finite cell list (see docs/PERFORMANCE.md on why
+        # the chain must be built with repeated adds, never
+        # ``base + i * slot``).
         burst_len = max(
             1, min(sim.config.burst_cells, nic.rx_fifo.depth_cells // 2)
         )
@@ -138,7 +139,7 @@ def drained_rx_run(
             if wait > 0:
                 yield sim.timeout(wait)
 
-    sim.process(feeder_fast() if fast_path else feeder())
+    sim.process(wire_fast() if fast_path else wire())
     # Feeding takes len(cells) slots at line rate; 3x covers any
     # engine-bound stretch, so both paths idle long before the horizon.
     sim.run(until=3.0 * len(cells) * slot)

@@ -8,7 +8,7 @@ recording what the CLI and the bench harness need to know about it:
   so ``python -m repro --help`` can enumerate every experiment;
 - whether the experiment is *sweep-shaped* -- migrated onto
   :mod:`repro.runner` and therefore accepting ``workers`` / ``store``
-  / ``log`` keyword arguments;
+  / ``log`` keyword arguments, read off the run function's signature;
 - the reduced *bench_kwargs* the regression gate runs it with (full
   evaluation parameters take minutes; the gate needs seconds).
 
@@ -19,14 +19,12 @@ import it back -- callers reach it as ``repro.runner.registry``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.results.experiments import EXPERIMENTS, ExperimentResult
 from repro.runner.store import ResultStore, RunLog
-
-#: Experiments migrated onto the sweep runner (accept workers/store/log).
-SWEEP_IDS = frozenset({"F6", "T5", "F7", "R1", "R2", "C1", "S1"})
 
 #: Reduced parameters the bench gate runs each benched experiment with.
 #: Chosen so the whole gated set finishes in seconds while every
@@ -56,7 +54,7 @@ class ExperimentEntry:
     id: str
     run: Callable[..., ExperimentResult]
     description: str
-    #: True when the run function is sweep-shaped (runner-migrated).
+    #: True when the run function is sweep-shaped (accepts ``workers``).
     sweep: bool
     #: Reduced kwargs for the bench gate ({} means "bench at defaults";
     #: ids absent from BENCH_KWARGS are not benched by default).
@@ -86,7 +84,7 @@ def _build() -> Dict[str, ExperimentEntry]:
             id=experiment_id,
             run=fn,
             description=_headline(fn),
-            sweep=experiment_id in SWEEP_IDS,
+            sweep="workers" in inspect.signature(fn).parameters,
             bench_kwargs=dict(BENCH_KWARGS.get(experiment_id, {})),
         )
         for experiment_id, fn in EXPERIMENTS.items()

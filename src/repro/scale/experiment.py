@@ -36,7 +36,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.atm.signalling import SIGNALLING_VC, SignallingAgent
 from repro.faults.audit import CellConservationAuditor
-from repro.net import ScenarioHandle, Testbed
+from repro.net import Scenario, Testbed
 from repro.nic.config import aurora_oc3
 from repro.obs.metrics import MetricsRegistry, instrument
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
@@ -72,7 +72,7 @@ def churn_scenario(
     sdu_size: int,
     cam_entries: int,
     reassembly_quota: int,
-) -> ScenarioHandle:
+) -> Scenario:
     """S1's scenario: Poisson session churn through a two-switch fabric.
 
     Sessions arrive at *arrival_rate*, hold *holding_time*, book
@@ -107,7 +107,7 @@ def churn_scenario(
     # The fabric is bidirectional (CONNECT/RELEASE ride the reverse
     # path through the same switches), so the audit closes the whole
     # domain: both injection links, all four ports, both receivers.
-    auditor = CellConservationAuditor(
+    net.auditor = CellConservationAuditor(
         net.links["caller->sw1"],
         callee,
         switches=[net.switches["sw1"], net.switches["sw2"]],
@@ -165,18 +165,10 @@ def churn_scenario(
     )
     engine.start()
     callee.start()
-    return ScenarioHandle(
-        hosts=net.hosts,
-        links=net.links,
-        ports=net.ports,
-        agents={
-            "callee_sig": callee_sig,
-            "caller_sig": caller_sig,
-            "cac": cac,
-            "sessions": engine,
-        },
-        auditor=auditor,
+    net.agents.update(
+        callee_sig=callee_sig, caller_sig=caller_sig, cac=cac, sessions=engine
     )
+    return net
 
 
 def _churn_run(

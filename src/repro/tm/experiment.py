@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence
 
 from repro.atm.addressing import VcAddress
-from repro.net import ScenarioHandle, Testbed
+from repro.net import Scenario, Testbed
 from repro.nic.config import aurora_oc3
 from repro.runner import ResultStore, RunLog, SweepSpec, run_sweep
 from repro.sim.core import SimConfig, Simulator
@@ -60,7 +60,7 @@ def bottleneck_scenario(
     buffer_cells: int,
     efci_threshold: int,
     sdu_size: int,
-) -> ScenarioHandle:
+) -> Scenario:
     """C1's scenario: greedy sources converging on a 2-switch bottleneck.
 
     *n_sources* greedy sources share the ``sw1 -> sw2`` port
@@ -113,16 +113,15 @@ def bottleneck_scenario(
     net = tb.build(sim)
     sources = [net.hosts[f"s{i}"] for i in range(n_sources)]
     dest = net.hosts["d"]
-    scenario = ScenarioHandle(hosts=net.hosts, links=net.links, ports=net.ports)
 
     if closed_loop:
-        scenario.agents["erica"] = EricaAllocator(
+        net.agents["erica"] = EricaAllocator(
             sim,
             net.switches["sw1"],
             target_utilization=C1_TARGET_UTILIZATION,
             weight_of=weights.get,
         )
-        scenario.agents["d"] = AbrAgent(sim, dest)  # turnaround side
+        net.agents["d"] = AbrAgent(sim, dest)  # turnaround side
         params = AbrParams(
             pcr=spec.cell_rate,
             icr=spec.cell_rate / 16.0,
@@ -132,9 +131,9 @@ def bottleneck_scenario(
         for i, vc in enumerate(vcs):
             agent = AbrAgent(sim, sources[i])
             agent.add_vc(vc, params)
-            scenario.agents[f"s{i}"] = agent
+            net.agents[f"s{i}"] = agent
 
-    completions = scenario.delivered
+    completions = net.delivered
     dest.on_pdu = lambda c: completions.append((sim.now, c.vc, c.size))
 
     start_rng = streams.stream("c1.start")
@@ -146,7 +145,7 @@ def bottleneck_scenario(
         # across the sweep (the arms of one point share the draws).
         sim.schedule_call(start_rng.uniform(0.0, 2e-3), source.start)
     dest.start()
-    return scenario
+    return net
 
 
 def _bottleneck_run(

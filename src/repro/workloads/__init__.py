@@ -21,7 +21,6 @@ from repro.workloads.pdu_sizes import (
 )
 from repro.workloads.scenarios import (
     InterleavedCellSource,
-    PointToPoint,
     build_point_to_point,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "GreedySource",
     "InterleavedCellSource",
     "OnOffSource",
-    "PointToPoint",
     "PoissonSource",
     "SizeDistribution",
     "UniformSize",

@@ -1,57 +1,32 @@
 """Canned end-to-end testbeds used by several experiments.
 
 - :func:`build_point_to_point` -- the workhorse: two interfaces, a link
-  pair, one or more VCs, and a receive-side PDU log.
+  pair, one or more VCs, and a receive-side PDU log, declared on a
+  :class:`~repro.net.Testbed` and returned as its
+  :class:`~repro.net.Scenario`.
 - :class:`InterleavedCellSource` -- a synthetic wire feeding a receive
   path with cells from many VCs round-robin at link rate, the worst
   case for reassembly-context locality (experiment F6).  A single real
   transmitter cannot produce this pattern (it finishes one PDU before
   the next), but a switch merging many senders does -- this source
-  stands in for that switch fabric.
+  stands in for that switch fabric.  With one VC and a blocking FIFO it
+  is the backlogged wire every receive-capacity measurement uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.aal.aal5 import Aal5Segmenter
-from repro.atm.addressing import VcAddress
+from repro.atm.addressing import RESERVED_VCI_LIMIT, VcAddress
 from repro.atm.cell import AtmCell
 from repro.atm.errors import LossModel
-from repro.atm.link import LinkSpec, PhysicalLink
+from repro.atm.link import LinkSpec
+from repro.net.testbed import Scenario, Testbed
 from repro.nic.config import NicConfig
-from repro.nic.descriptors import RxCompletion
-from repro.nic.nic import HostNetworkInterface, connect
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter
 from repro.workloads.generators import make_payload
-
-
-@dataclass
-class PointToPoint:
-    """A sender/receiver pair joined by a link, plus observation hooks."""
-
-    sim: Simulator
-    sender: HostNetworkInterface
-    receiver: HostNetworkInterface
-    vcs: List[VcAddress]
-    link_ab: PhysicalLink
-    link_ba: PhysicalLink
-    received: List[RxCompletion] = field(default_factory=list)
-
-    @property
-    def vc(self) -> VcAddress:
-        """The first (often only) VC."""
-        return self.vcs[0]
-
-    def received_bytes(self) -> int:
-        return sum(c.size for c in self.received)
-
-    def goodput_mbps(self, window: Optional[float] = None) -> float:
-        """Delivered user bits over elapsed (or given) time."""
-        span = self.sim.now if window is None else window
-        return (self.received_bytes() * 8 / span) / 1e6 if span > 0 else 0.0
 
 
 def build_point_to_point(
@@ -61,35 +36,29 @@ def build_point_to_point(
     propagation_delay: float = 0.0,
     loss_ab: Optional[LossModel] = None,
     link: Optional[LinkSpec] = None,
-) -> PointToPoint:
-    """Wire a complete sender/receiver testbed and open *n_vcs* VCs."""
+) -> Scenario:
+    """Wire a ``sender``/``receiver`` testbed and open *n_vcs* VCs.
+
+    The forward link is ``net.links["sender->receiver"]`` (carrying
+    *loss_ab*), the VCs are ``net.vcs`` and every PDU the receiver
+    completes lands in ``net.delivered``.
+    """
     if n_vcs < 1:
         raise ValueError("need at least one VC")
-    sender = HostNetworkInterface(sim, config, name="sender")
-    receiver = HostNetworkInterface(sim, config, name="receiver")
-    ab, ba = connect(
-        sim,
-        sender,
-        receiver,
-        link=link,
+    tb = Testbed(default_config=config)
+    tb.add_host("sender").add_host("receiver")
+    tb.connect(
+        "sender",
+        "receiver",
+        spec=link,
         propagation_delay=propagation_delay,
         loss_ab=loss_ab,
     )
-    vcs = []
-    for _ in range(n_vcs):
-        vc = sender.open_vc()
-        receiver.open_vc(address=vc.address)
-        vcs.append(vc.address)
-    scenario = PointToPoint(
-        sim=sim,
-        sender=sender,
-        receiver=receiver,
-        vcs=vcs,
-        link_ab=ab,
-        link_ba=ba,
-    )
-    receiver.on_pdu = scenario.received.append
-    return scenario
+    for i in range(n_vcs):
+        tb.vc(VcAddress(0, RESERVED_VCI_LIMIT + i), ["sender", "receiver"])
+    net = tb.build(sim)
+    net.hosts["receiver"].on_pdu = net.delivered.append
+    return net
 
 
 class InterleavedCellSource:
@@ -155,8 +124,13 @@ class InterleavedCellSource:
             if not self._queues[stream]:
                 self._refill(stream)
             cell = self._queues[stream].pop(0)
-            if self.blocking_fifo is not None:
-                yield self.blocking_fifo.put(cell)
+            fifo = self.blocking_fifo
+            if fifo is not None:
+                # Standing in for a transmit engine, the wire tags each
+                # cell with a trace id when the FIFO it feeds is traced.
+                if fifo.trace is not None:
+                    fifo.trace.tag_cell(cell)
+                yield fifo.put(cell)
             else:
                 receive = getattr(self.sink, "receive_cell", None)
                 if receive is not None:
@@ -170,12 +144,12 @@ class InterleavedCellSource:
     def _run_fast(self):
         """Burst-mode wire: same slot-spaced cell times, fewer events.
 
-        The scalar loop puts cell *n* at ``n * cell_time`` (shifted only
-        while backpressured).  Here cells are batched into pre-announced
-        :class:`~repro.atm.burst.CellBurst` runs whose embedded arrivals
-        are that exact slot chain; after a blocking put the chain
-        restarts from the accept time, matching the scalar loop's
-        post-block resumption.  See ``docs/PERFORMANCE.md``.
+        The scalar loop puts cell *n* at ``start + n * cell_time``
+        (shifted only while backpressured).  Here cells are batched into
+        pre-announced :class:`~repro.atm.burst.CellBurst` runs whose
+        embedded arrivals are that exact slot chain; after a blocking
+        put the chain restarts from the accept time, matching the scalar
+        loop's post-block resumption.  See ``docs/PERFORMANCE.md``.
         """
         from repro.atm.burst import CellBurst
 
@@ -188,8 +162,9 @@ class InterleavedCellSource:
         )
         # Arrival of the next cell to emit; advanced with the same
         # iterated float adds as the scalar loop's timeout chain so the
-        # values are bit-identical (cell n at exactly n * slot).
-        next_arrival = 0.0
+        # values are bit-identical; like that chain it begins at the
+        # start time, not at t=0.
+        next_arrival = self.sim.now
         while True:
             cells = []
             arrivals = []
@@ -201,6 +176,9 @@ class InterleavedCellSource:
                 stream = (stream + 1) % self.n_vcs
                 arrivals.append(next_arrival)
                 next_arrival = next_arrival + slot
+            if fifo.trace is not None:
+                for cell in cells:
+                    fifo.trace.tag_cell(cell)
             accept = fifo.put_burst(CellBurst(cells, arrivals))
             blocked = not accept.triggered
             yield accept

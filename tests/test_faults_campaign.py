@@ -200,22 +200,22 @@ class TestAuditor:
     def test_detects_a_cooked_ledger(self, sim):
         """Tampering with a counter must trip the auditor."""
         scenario = build_point_to_point(sim, aurora_oc3())
-        scenario.sender.post(scenario.vc, bytes(2000))
+        scenario.hosts["sender"].post(scenario.vcs[0], bytes(2000))
         sim.run(until=0.01)
-        auditor = CellConservationAuditor(scenario.link_ab, scenario.receiver)
+        auditor = CellConservationAuditor(scenario.links["sender->receiver"], scenario.hosts["receiver"])
         auditor.assert_conserved()
         # Claim 5 cells crossed the wire that no downstream counter saw.
-        scenario.link_ab.cells_delivered.increment(5)
+        scenario.links["sender->receiver"].cells_delivered.increment(5)
         with pytest.raises(CellConservationError) as err:
             auditor.assert_conserved()
         assert "5 unaccounted" in str(err.value)
 
     def test_breakdown_covers_the_sum(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
-        scenario.sender.post(scenario.vc, bytes(2000))
+        scenario.hosts["sender"].post(scenario.vcs[0], bytes(2000))
         sim.run(until=0.01)
         ledger = CellConservationAuditor(
-            scenario.link_ab, scenario.receiver
+            scenario.links["sender->receiver"], scenario.hosts["receiver"]
         ).snapshot()
         assert sum(ledger.breakdown().values()) == ledger.accounted
         assert ledger.offered == ledger.accounted

@@ -92,9 +92,9 @@ class TestAal34DataPath:
         ):
             local_sim = type(sim)()
             scenario = build_point_to_point(local_sim, config)
-            GreedySource(local_sim, scenario.sender, scenario.vc, 9180).start()
+            GreedySource(local_sim, scenario.hosts["sender"], scenario.vcs[0], 9180).start()
             local_sim.run(until=0.03)
-            results[label] = steady_goodput_mbps(scenario.received)
+            results[label] = steady_goodput_mbps(scenario.delivered)
         # The 4-bytes-per-cell tax: AAL3/4 delivers ~44/48 of AAL5.
         assert results["aal34"] < results["aal5"]
         assert results["aal34"] / results["aal5"] == pytest.approx(

@@ -14,9 +14,9 @@ class TestLoopback:
         scenario = build_point_to_point(sim, aurora_oc3())
         payloads = [make_payload(s) for s in (64, 100, 1500, 9180, 40)]
         for p in payloads:
-            scenario.sender.post(scenario.vc, p)
+            scenario.hosts["sender"].post(scenario.vcs[0], p)
         sim.run(until=0.05)
-        assert [c.sdu for c in scenario.received] == payloads
+        assert [c.sdu for c in scenario.delivered] == payloads
 
     def test_bidirectional_traffic(self, sim):
         a = HostNetworkInterface(sim, aurora_oc3(), name="a")
@@ -38,44 +38,44 @@ class TestLoopback:
     def test_multiple_vcs_kept_separate(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3(), n_vcs=3)
         for i, vc in enumerate(scenario.vcs):
-            scenario.sender.post(vc, bytes([i]) * 100)
+            scenario.hosts["sender"].post(vc, bytes([i]) * 100)
         sim.run(until=0.05)
-        by_vc = {c.vc: c.sdu for c in scenario.received}
+        by_vc = {c.vc: c.sdu for c in scenario.delivered}
         assert by_vc == {
             vc: bytes([i]) * 100 for i, vc in enumerate(scenario.vcs)
         }
 
     def test_end_to_end_latency_positive_and_ordered(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
-        scenario.sender.post(scenario.vc, make_payload(1500))
+        scenario.hosts["sender"].post(scenario.vcs[0], make_payload(1500))
         sim.run(until=0.05)
-        completion = scenario.received[0]
+        completion = scenario.delivered[0]
         assert completion.end_to_end_latency > 0
         assert completion.received_at <= completion.delivered_at
 
     def test_propagation_delay_adds_to_latency(self, sim):
         fast = build_point_to_point(sim, aurora_oc3())
-        fast.sender.post(fast.vc, make_payload(100))
+        fast.hosts["sender"].post(fast.vcs[0], make_payload(100))
         sim.run(until=0.05)
-        base = fast.received[0].end_to_end_latency
+        base = fast.delivered[0].end_to_end_latency
 
         sim2_scenario_sim = type(sim)()
         slow = build_point_to_point(
             sim2_scenario_sim, aurora_oc3(), propagation_delay=0.002
         )
-        slow.sender.post(slow.vc, make_payload(100))
+        slow.hosts["sender"].post(slow.vcs[0], make_payload(100))
         sim2_scenario_sim.run(until=0.05)
-        assert slow.received[0].end_to_end_latency == pytest.approx(
+        assert slow.delivered[0].end_to_end_latency == pytest.approx(
             base + 0.002, rel=0.01
         )
 
     def test_interrupt_per_pdu_not_per_cell(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
         GreedySource(
-            sim, scenario.sender, scenario.vc, 9180, total_pdus=5
+            sim, scenario.hosts["sender"], scenario.vcs[0], 9180, total_pdus=5
         ).start()
         sim.run(until=0.1)
-        stats = scenario.receiver.stats()
+        stats = scenario.hosts["receiver"].stats()
         assert stats.pdus_received == 5
         assert stats.interrupts_delivered == 5
         assert stats.cells_received == 5 * 192
@@ -83,11 +83,11 @@ class TestLoopback:
     def test_stats_snapshot_consistency(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
         GreedySource(
-            sim, scenario.sender, scenario.vc, 1500, total_pdus=10
+            sim, scenario.hosts["sender"], scenario.vcs[0], 1500, total_pdus=10
         ).start()
         sim.run(until=0.05)
-        tx_stats = scenario.sender.stats()
-        rx_stats = scenario.receiver.stats()
+        tx_stats = scenario.hosts["sender"].stats()
+        rx_stats = scenario.hosts["receiver"].stats()
         assert tx_stats.pdus_sent == 10
         assert rx_stats.pdus_received == 10
         assert tx_stats.cells_sent == rx_stats.cells_received
@@ -103,21 +103,21 @@ class TestLossRecoveryBehaviour:
         )
         payload = make_payload(1500)
         GreedySource(
-            sim, scenario.sender, scenario.vc, 1500, total_pdus=60
+            sim, scenario.hosts["sender"], scenario.vcs[0], 1500, total_pdus=60
         ).start()
         sim.run(until=0.2)
-        stats = scenario.receiver.stats()
+        stats = scenario.hosts["receiver"].stats()
         assert stats.pdus_discarded > 0  # 2% cell loss, 32 cells/PDU
         assert stats.pdus_received + stats.pdus_discarded <= 60
-        assert all(c.sdu == payload for c in scenario.received)
+        assert all(c.sdu == payload for c in scenario.delivered)
 
     def test_zero_loss_delivers_everything(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
         GreedySource(
-            sim, scenario.sender, scenario.vc, 1500, total_pdus=40
+            sim, scenario.hosts["sender"], scenario.vcs[0], 1500, total_pdus=40
         ).start()
         sim.run(until=0.2)
-        assert len(scenario.received) == 40
+        assert len(scenario.delivered) == 40
 
 
 class TestOc12Behaviour:
@@ -142,6 +142,6 @@ class TestOc12Behaviour:
 
     def test_oc3_no_overrun(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
-        GreedySource(sim, scenario.sender, scenario.vc, 9180).start()
+        GreedySource(sim, scenario.hosts["sender"], scenario.vcs[0], 9180).start()
         sim.run(until=0.02)
-        assert scenario.receiver.stats().rx_fifo_overflows == 0
+        assert scenario.hosts["receiver"].stats().rx_fifo_overflows == 0

@@ -42,11 +42,11 @@ from repro.workloads.scenarios import build_point_to_point
 def traced_point_to_point(sim, recorder, sdu_size=4096, total_pdus=3):
     scenario = build_point_to_point(sim, lab_host(aurora_oc3()))
     GreedySource(
-        sim, scenario.sender, scenario.vc, sdu_size, total_pdus=total_pdus
+        sim, scenario.hosts["sender"], scenario.vcs[0], sdu_size, total_pdus=total_pdus
     ).start()
     if recorder is not None:
-        scenario.sender.attach_trace(recorder)
-        scenario.receiver.attach_trace(recorder)
+        scenario.hosts["sender"].attach_trace(recorder)
+        scenario.hosts["receiver"].attach_trace(recorder)
     return scenario
 
 
@@ -74,8 +74,8 @@ class TestTraceRecorder:
     def test_pipeline_untraced_by_default(self, sim):
         scenario = traced_point_to_point(sim, recorder=None)
         sim.run(until=2e-3)
-        assert scenario.received
-        for nic in (scenario.sender, scenario.receiver):
+        assert scenario.delivered
+        for nic in (scenario.hosts["sender"], scenario.hosts["receiver"]):
             assert nic.tx_engine.trace is None
             assert nic.rx_engine.trace is None
 
@@ -83,7 +83,7 @@ class TestTraceRecorder:
         recorder = TraceRecorder(sim)
         scenario = traced_point_to_point(sim, recorder)
         sim.run(until=2e-3)
-        assert scenario.received
+        assert scenario.delivered
         names = {e.name for e in recorder.events}
         for expected in (
             "tx.pdu.posted",
@@ -225,7 +225,7 @@ class TestTracingOverhead:
         disabled_elapsed = time.perf_counter() - started
 
         assert len(disabled) == 0
-        assert len(traced.received) == len(baseline.received)
+        assert len(traced.delivered) == len(baseline.delivered)
         # Measured locally at <5%; the bound is loose for noisy CI boxes.
         assert disabled_elapsed < base_elapsed * 1.5 + 0.05
 

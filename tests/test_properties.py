@@ -150,9 +150,9 @@ class TestEndToEndConservation:
         scenario = build_point_to_point(sim, aurora_oc3())
         payloads = [bytes([i % 256]) * size for i, size in enumerate(sizes)]
         for payload in payloads:
-            scenario.sender.post(scenario.vc, payload)
+            scenario.hosts["sender"].post(scenario.vcs[0], payload)
         sim.run(until=0.2)
-        assert [c.sdu for c in scenario.received] == payloads
+        assert [c.sdu for c in scenario.delivered] == payloads
 
 
 class TestReassemblerCellConservation:
@@ -260,9 +260,9 @@ class TestSystemCellConservation:
             n_vcs=2,
             loss_ab=UniformLoss(loss_p, rng=random.Random(seed)),
         )
-        auditor = CellConservationAuditor(scenario.link_ab, scenario.receiver)
+        auditor = CellConservationAuditor(scenario.links["sender->receiver"], scenario.hosts["receiver"])
         for i in range(6):
-            scenario.sender.post(scenario.vcs[i % 2], bytes(2000 + 137 * i))
+            scenario.hosts["sender"].post(scenario.vcs[i % 2], bytes(2000 + 137 * i))
         sim.run(until=horizon)
         auditor.assert_conserved()
         sim.run(until=horizon + 1.0)  # drain + timer sweeps

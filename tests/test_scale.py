@@ -25,7 +25,7 @@ from repro.net import Testbed as TopologyBuilder
 from repro.nic.config import aurora_oc3
 from repro.resilience.experiment import run_r2
 from repro.results.perf import canonical_result_json
-from repro.runner.registry import REGISTRY, SWEEP_IDS
+from repro.runner.registry import REGISTRY
 from repro.scale.experiment import _churn_run
 from repro.sim.core import SimConfig, Simulator
 from repro.tm.experiment import run_c1
@@ -77,6 +77,17 @@ class TestTestbed:
         # One route per switch hop, keyed by the resolved input index.
         assert len(net.switches["sw1"]._routes) == 1
         assert len(net.switches["sw2"]._routes) == 1
+
+    def test_scenario_lists_declared_vcs_in_order(self):
+        tb = self._two_switch()
+        tb.link("b", "sw2").link("sw2", "sw1").link("sw1", "a")
+        tb.vc(VcAddress(0, 44), ["a", "sw1", "sw2", "b"])
+        tb.route(VcAddress(0, 45), ["b", "sw2", "sw1", "a"])
+        tb.vc(VcAddress(0, 42), ["b", "sw2", "sw1", "a"])
+        net = tb.build(Simulator(SimConfig()))
+        # vc() addresses only (the route() one opens nothing), in
+        # declaration order rather than VCI order.
+        assert net.vcs == [VcAddress(0, 44), VcAddress(0, 42)]
 
     def test_dynamic_route_install_and_teardown(self):
         net = self._two_switch().build(Simulator(SimConfig()))
@@ -214,7 +225,17 @@ class TestUniformContract:
             )
             assert param.default is not inspect.Parameter.empty
 
-    @pytest.mark.parametrize("experiment_id", sorted(SWEEP_IDS))
+    @pytest.mark.parametrize("experiment_id", sorted(REGISTRY))
+    def test_sweep_flag_is_the_signature(self, experiment_id):
+        # The flag is derived, not hand-kept: an entry sweeps exactly
+        # when its run function takes the runner's three knobs.
+        entry = REGISTRY[experiment_id]
+        params = inspect.signature(entry.run).parameters
+        assert entry.sweep == ({"workers", "store", "log"} <= set(params))
+
+    @pytest.mark.parametrize(
+        "experiment_id", sorted(i for i, e in REGISTRY.items() if e.sweep)
+    )
     def test_sweep_ids_take_runner_knobs(self, experiment_id):
         sig = inspect.signature(REGISTRY[experiment_id].run)
         for name in ("workers", "store", "log"):

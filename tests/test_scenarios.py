@@ -5,35 +5,26 @@ import pytest
 from repro.atm import STS3C_155, UniformLoss, VcAddress
 from repro.nic import HostNetworkInterface, aurora_oc3
 from repro.results.experiments import _window_for, lab_host
-from repro.sim import Simulator
-from repro.workloads import GreedySource, InterleavedCellSource
+from repro.sim import SimConfig, Simulator
+from repro.workloads import InterleavedCellSource
 from repro.workloads.scenarios import build_point_to_point
 
 
 class TestPointToPoint:
     def test_builder_opens_matching_vcs(self, sim):
-        scenario = build_point_to_point(sim, aurora_oc3(), n_vcs=2)
-        for vc in scenario.vcs:
-            assert scenario.sender.vc_table.lookup(vc) is not None
-            assert scenario.receiver.vc_table.lookup(vc) is not None
-
-    def test_vc_property_is_first(self, sim):
-        scenario = build_point_to_point(sim, aurora_oc3(), n_vcs=3)
-        assert scenario.vc == scenario.vcs[0]
-
-    def test_received_bytes_and_goodput(self, sim):
-        scenario = build_point_to_point(sim, aurora_oc3())
-        GreedySource(sim, scenario.sender, scenario.vc, 1000, total_pdus=4).start()
-        sim.run(until=0.01)
-        assert scenario.received_bytes() == 4000
-        assert scenario.goodput_mbps(0.01) == pytest.approx(4000 * 8 / 0.01 / 1e6)
+        net = build_point_to_point(sim, aurora_oc3(), n_vcs=2)
+        assert net.vcs == [VcAddress(0, 32), VcAddress(0, 33)]
+        for vc in net.vcs:
+            assert net.hosts["sender"].vc_table.lookup(vc) is not None
+            assert net.hosts["receiver"].vc_table.lookup(vc) is not None
 
     def test_loss_model_attaches_to_forward_link(self, sim, rng):
         loss = UniformLoss(1.0, rng)
-        scenario = build_point_to_point(sim, aurora_oc3(), loss_ab=loss)
-        scenario.sender.post(scenario.vc, b"doomed" * 10)
+        net = build_point_to_point(sim, aurora_oc3(), loss_ab=loss)
+        assert net.links["sender->receiver"].loss_model is loss
+        net.hosts["sender"].post(net.vcs[0], b"doomed" * 10)
         sim.run(until=0.01)
-        assert scenario.received == []
+        assert net.delivered == []
         assert loss.dropped > 0
 
     def test_validation(self, sim):
@@ -77,6 +68,31 @@ class TestInterleavedCellSource:
         sim.run(until=0.005)
         assert len(received) >= 4
         assert {c.vc for c in received} == set(source.vcs)
+
+    @staticmethod
+    def _late_start_deliveries(fast_path):
+        sim = Simulator(SimConfig(fast_path=fast_path))
+        nic = HostNetworkInterface(sim, lab_host(aurora_oc3()), name="rx")
+        received = []
+        nic.on_pdu = received.append
+        source = InterleavedCellSource(
+            sim, nic.rx_engine, STS3C_155, n_vcs=4, sdu_size=1500,
+            blocking_fifo=nic.rx_fifo,
+        )
+        for address in source.vcs:
+            nic.open_vc(address=address)
+        nic.start()
+        sim.schedule_call(1e-3, source.start)
+        sim.run(until=4e-3)
+        return [(c.vc, c.delivered_at) for c in received]
+
+    def test_late_start_bursts_match_scalar(self):
+        # A source started after t=0 must not back-date its first burst
+        # on the fast lane: both lanes deliver the same PDUs, at the
+        # same times.
+        scalar = self._late_start_deliveries(fast_path=False)
+        assert scalar
+        assert self._late_start_deliveries(fast_path=True) == scalar
 
     def test_validation(self, sim):
         with pytest.raises(ValueError):

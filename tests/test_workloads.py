@@ -82,16 +82,16 @@ class TestSources:
     def test_greedy_bounded_count(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
         source = GreedySource(
-            sim, scenario.sender, scenario.vc, 1500, total_pdus=7
+            sim, scenario.hosts["sender"], scenario.vcs[0], 1500, total_pdus=7
         )
         source.start()
         sim.run(until=0.05)
         assert source.pdus_offered.count == 7
-        assert len(scenario.received) == 7
+        assert len(scenario.delivered) == 7
 
     def test_greedy_accepts_int_size(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
-        source = GreedySource(sim, scenario.sender, scenario.vc, 64, total_pdus=2)
+        source = GreedySource(sim, scenario.hosts["sender"], scenario.vcs[0], 64, total_pdus=2)
         source.start()
         sim.run(until=0.05)
         assert source.bytes_offered.count == 128
@@ -99,7 +99,7 @@ class TestSources:
     def test_greedy_start_idempotent(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
         source = GreedySource(
-            sim, scenario.sender, scenario.vc, 64, total_pdus=3
+            sim, scenario.hosts["sender"], scenario.vcs[0], 64, total_pdus=3
         )
         assert source.start() is source.start()
         sim.run(until=0.05)
@@ -108,7 +108,7 @@ class TestSources:
     def test_poisson_rate(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
         source = PoissonSource(
-            sim, scenario.sender, scenario.vc, 64, pdus_per_second=2000.0
+            sim, scenario.hosts["sender"], scenario.vcs[0], 64, pdus_per_second=2000.0
         )
         source.start()
         sim.run(until=0.5)
@@ -118,15 +118,15 @@ class TestSources:
         scenario = build_point_to_point(sim, aurora_oc3())
         with pytest.raises(ValueError):
             PoissonSource(
-                sim, scenario.sender, scenario.vc, 64, pdus_per_second=0.0
+                sim, scenario.hosts["sender"], scenario.vcs[0], 64, pdus_per_second=0.0
             )
 
     def test_onoff_produces_bursts(self, sim):
         scenario = build_point_to_point(sim, aurora_oc3())
         source = OnOffSource(
             sim,
-            scenario.sender,
-            scenario.vc,
+            scenario.hosts["sender"],
+            scenario.vcs[0],
             64,
             mean_burst_pdus=5.0,
             mean_off_time=1e-3,
@@ -140,5 +140,5 @@ class TestSources:
         scenario = build_point_to_point(sim, aurora_oc3())
         with pytest.raises(ValueError):
             OnOffSource(
-                sim, scenario.sender, scenario.vc, 64, mean_burst_pdus=0.5
+                sim, scenario.hosts["sender"], scenario.vcs[0], 64, mean_burst_pdus=0.5
             )
