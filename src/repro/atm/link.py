@@ -91,9 +91,10 @@ class PhysicalLink:
 
     ``send(cell)`` returns an event that fires when the cell has finished
     serializing (i.e. when the sender may reuse its transmit machinery);
-    the cell is delivered to *sink* one propagation delay later, unless
-    the loss model eats it.  Cells serialize strictly in order at the
-    link's cell slot time; idle slots are implicit.
+    ``transmit(cell)`` returns that instant instead.  The cell is
+    delivered to *sink* one propagation delay later, unless the loss
+    model eats it.  Cells serialize strictly in order at the link's
+    cell slot time; idle slots are implicit.
     """
 
     def __init__(
@@ -133,6 +134,18 @@ class PhysicalLink:
 
     def send(self, cell: AtmCell) -> Event:
         """Enqueue *cell* for serialization; event fires at wire-out time."""
+        finished = Event(self.sim)
+        finished._state = Event._TRIGGERED
+        finished._value = cell
+        self.sim._schedule_at(self.transmit(cell), finished)
+        return finished
+
+    def transmit(self, cell: AtmCell) -> float:
+        """Serialize *cell* and schedule its delivery; return wire-out time.
+
+        :meth:`send` without the completion event, for a caller that
+        schedules its own call at wire-out (an output port's drain).
+        """
         now = self.sim.now
         start = max(now, self._next_free)
         done = start + self.spec.cell_time
@@ -155,11 +168,7 @@ class PhysicalLink:
             self.sim.schedule_call(
                 (done - now) + self.propagation_delay, self._deliver, cell
             )
-        finished = Event(self.sim)
-        finished._state = Event._TRIGGERED
-        finished._value = cell
-        self.sim._schedule_at(now + (done - now), finished)
-        return finished
+        return now + (done - now)
 
     def send_burst(self, burst: CellBurst) -> Event:
         """Serialize a pre-announced burst; event fires at last wire-out.

@@ -29,7 +29,7 @@ from typing import Deque, Dict, Optional
 from repro.atm.addressing import VcAddress
 from repro.atm.cell import AtmCell
 from repro.atm.link import PhysicalLink
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, TimeWeightedStat
 
 #: PTI bit 1: EFCI, "congestion experienced", on user cells.
@@ -158,7 +158,7 @@ class OutputPort:
     # Alias so a port can terminate a PhysicalLink directly.
     receive_cell = offer
 
-    def _drain_next(self, _done: Optional[Event] = None) -> None:
+    def _drain_next(self) -> None:
         if not self._queue:
             self._draining = False
             return
@@ -171,7 +171,7 @@ class OutputPort:
         else:
             self._vc_queued.pop(vc, None)
         self.occupancy.record(self.sim.now, len(self._queue))
-        self.link.send(cell).add_callback(self._drain_next)
+        self.sim.schedule_call_at(self.link.transmit(cell), self._drain_next)
 
     # -- observability ---------------------------------------------------------
 

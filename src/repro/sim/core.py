@@ -5,7 +5,8 @@ entries and pops them in that total order: earlier time first, then
 ``URGENT`` before ``NORMAL``, then scheduling order.  An :class:`Event`
 is the unit of synchronisation -- processes (see
 :mod:`repro.sim.process`) suspend on events and are resumed by the
-event's callbacks when it triggers.
+event's callbacks when it triggers.  A :class:`ScheduledCall` is the
+other kind of entry: a bare ``fn(*args)`` that nothing waits on.
 
 :class:`SimConfig` also carries the ``fast_path`` switch that lets the
 NIC/link layers move :class:`repro.atm.burst.CellBurst` batches instead
@@ -19,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import (
+    TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Union,
+)
 
 if TYPE_CHECKING:  # import cycle: process.py imports this module
     from repro.sim.process import Process
@@ -185,6 +188,36 @@ class Event:
         return f"<{type(self).__name__} {state} at t={self.sim.now:.9f}>"
 
 
+class ScheduledCall:
+    """A queued ``fn(*args)``, as :meth:`Simulator.schedule_call` returns.
+
+    The cheapest queue entry: one slotted object, with no callbacks
+    list and no closure.  The loop dispatches it as it does an event
+    (by its ``_state`` and ``_process``), so it takes a sequence number
+    and counts in ``events_processed`` the same way.  ``cancel()``
+    withdraws it with :meth:`Event.cancel`'s semantics.  Nothing can
+    wait on it: a process that must wait yields an :class:`Event`.
+    """
+
+    __slots__ = ("fn", "args", "_state")
+
+    def __init__(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        self.fn = fn
+        self.args = args
+        self._state = Event._TRIGGERED
+
+    def cancel(self) -> "ScheduledCall":
+        """Withdraw the call; legal until it has run, idempotent before."""
+        if self._state == Event._PROCESSED:
+            raise SimulationError("cannot cancel a processed call")
+        self._state = Event._CANCELLED
+        return self
+
+    def _process(self) -> None:
+        self._state = Event._PROCESSED
+        self.fn(*self.args)
+
+
 class Timeout(Event):
     """An event that triggers itself *delay* seconds after creation."""
 
@@ -201,6 +234,10 @@ class Timeout(Event):
         self._value = value
         self._state = Event._TRIGGERED
         sim._schedule_at(sim._now + delay, self)
+
+
+#: What the queue holds: anything with ``_state`` and ``_process()``.
+_Entry = Union[Event, ScheduledCall]
 
 
 @dataclass(frozen=True)
@@ -241,7 +278,7 @@ class Simulator:
     def __init__(self, config: Optional[SimConfig] = None) -> None:
         self.config = config if config is not None else SimConfig()
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, int, _Entry]] = []
         self._sequence = 0
         self._running = False
         #: Lifetime count of events processed -- the kernel's own
@@ -283,8 +320,10 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_at(self, when: float, event: Event, priority: int = NORMAL) -> None:
-        """Schedule *event* at the absolute time *when*.
+    def _schedule_at(
+        self, when: float, event: _Entry, priority: int = NORMAL
+    ) -> None:
+        """Schedule *event* (or a call entry) at the absolute time *when*.
 
         The fast path (docs/PERFORMANCE.md) schedules at precomputed
         absolute times rather than ``now + (when - now)`` deltas: the
@@ -374,22 +413,17 @@ class Simulator:
 
     def schedule_call(
         self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> Event:
-        """Convenience: call ``fn(*args)`` after *delay* seconds.
+    ) -> "ScheduledCall":
+        """Call ``fn(*args)`` after *delay* seconds.
 
-        Returns the underlying event (whose value is the function result).
+        Returns the queued :class:`ScheduledCall`, which can be
+        cancelled but not waited on; ``fn``'s result is discarded.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        ev = Event(self)
-
-        def runner(event: Event) -> None:
-            fn(*args)
-
-        ev.callbacks.append(runner)
-        ev._state = Event._TRIGGERED
-        self._schedule_at(self._now + delay, ev)
-        return ev
+        call = ScheduledCall(fn, args)
+        self._schedule_at(self._now + delay, call)
+        return call
 
     def wake_at(self, when: float, value: Any = None) -> Event:
         """An event firing at the absolute time *when* (fast-path timeout).
@@ -405,17 +439,11 @@ class Simulator:
 
     def schedule_call_at(
         self, when: float, fn: Callable[..., None], *args: Any
-    ) -> Event:
+    ) -> "ScheduledCall":
         """Like :meth:`schedule_call` at an absolute time (fast path)."""
-        ev = Event(self)
-
-        def runner(event: Event) -> None:
-            fn(*args)
-
-        ev.callbacks.append(runner)
-        ev._state = Event._TRIGGERED
-        self._schedule_at(when, ev)
-        return ev
+        call = ScheduledCall(fn, args)
+        self._schedule_at(when, call)
+        return call
 
     def pending_events(self) -> int:
         """Number of entries still queued (triggered but unprocessed).

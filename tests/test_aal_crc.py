@@ -1,9 +1,41 @@
 """CRC engines: table vs bit-serial agreement, residues, known vectors."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.aal.aal34 import (
+    SarCrcError,
+    SarSegmentType,
+    decode_sar_pdu,
+    encode_sar_pdu,
+)
 from repro.aal.crc import CRC32_AAL5, CrcAlgorithm, crc10
+from repro.atm import AtmCell, LoopbackCell, OamFormatError, VcAddress
+from repro.atm.oam import decode_oam
+from repro.tm import RmCell, RmFormatError
+
+
+def crc10_bit_serial(data: bytes) -> int:
+    """The CRC-10 residue one bit at a time: the oracle for ``crc10``."""
+    register = 0
+    for byte in data:
+        for bit in range(8):
+            register = (register << 1) | ((byte >> (7 - bit)) & 1)
+            if register & 0x400:
+                register ^= 0x633
+    return register
+
+
+def flipped(payload: bytes, bit: int) -> bytes:
+    damaged = bytearray(payload)
+    damaged[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(damaged)
+
+
+def with_payload(cell: AtmCell, payload: bytes) -> AtmCell:
+    return AtmCell(vpi=cell.vpi, vci=cell.vci, payload=payload, pti=cell.pti)
 
 
 class TestCrc32:
@@ -30,6 +62,18 @@ class TestCrc32:
         corrupted = bytearray(message)
         corrupted[0] ^= 0x80 >> bit
         assert not CRC32_AAL5.residue_ok(bytes(corrupted))
+
+    def test_state_is_the_msb_first_register(self):
+        # The zlib-backed update keeps the register the bit-serial base
+        # class keeps for the same parameters, chunk by chunk.
+        serial = CrcAlgorithm("serial", 32, 0x04C11DB7, 0xFFFFFFFF, 0xFFFFFFFF)
+        rng = random.Random(5)
+        state = expected = CRC32_AAL5.start()
+        for _ in range(50):
+            chunk = rng.randbytes(rng.randint(0, 64))
+            state = CRC32_AAL5.update(state, chunk)
+            expected = serial.update(expected, chunk)
+            assert state == expected
 
     def test_incremental_equals_one_shot(self):
         data = b"abcdefghij" * 20
@@ -81,3 +125,42 @@ class TestCrc10:
     def test_result_is_ten_bits(self):
         for payload in (b"", b"\xff" * 48, b"\x00\x01\x02"):
             assert 0 <= crc10(payload) <= 0x3FF
+
+    def test_table_matches_bit_serial_on_random_lengths(self):
+        rng = random.Random(10)
+        for _ in range(2000):
+            data = rng.randbytes(rng.randint(0, 64))
+            assert crc10(data) == crc10_bit_serial(data)
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 47, 48, 64])
+    def test_table_matches_bit_serial_on_all_zeros_and_ones(self, length):
+        for data in (bytes(length), b"\xff" * length):
+            assert crc10(data) == crc10_bit_serial(data)
+
+
+class TestCrc10Decoders:
+    """Every single flipped payload bit fails the CRC-10 check."""
+
+    BITS = range(48 * 8)
+
+    def test_rm_cell(self):
+        cell = RmCell(vc=VcAddress(0, 200), er=1e5, ccr=5e4).encode()
+        for bit in self.BITS:
+            with pytest.raises(RmFormatError):
+                RmCell.decode(with_payload(cell, flipped(cell.payload, bit)))
+
+    def test_oam_cell(self):
+        cell = LoopbackCell(
+            VcAddress(0, 200), correlation=0xC0FFEE, to_be_looped=True
+        ).encode()
+        assert decode_oam(cell).correlation == 0xC0FFEE
+        for bit in self.BITS:
+            with pytest.raises(OamFormatError):
+                decode_oam(with_payload(cell, flipped(cell.payload, bit)))
+
+    def test_aal34_sar_pdu(self):
+        pdu = encode_sar_pdu(SarSegmentType.BOM, 3, 17, bytes(range(44)))
+        assert decode_sar_pdu(pdu) == (SarSegmentType.BOM, 3, 17, bytes(range(44)))
+        for bit in self.BITS:
+            with pytest.raises(SarCrcError):
+                decode_sar_pdu(flipped(pdu, bit))

@@ -211,21 +211,24 @@ class TestTracingOverhead:
                 sim, recorder, sdu_size=9180, total_pdus=20
             )
             sim.run(until=2e-2)
-            return scenario
+            return sim, scenario
 
         # Warm both paths, then time them.
         one_run(None)
         started = time.perf_counter()
-        baseline = one_run(None)
+        base_sim, baseline = one_run(None)
         base_elapsed = time.perf_counter() - started
 
         disabled = TraceRecorder(Simulator(), enabled=False)
         started = time.perf_counter()
-        traced = one_run(disabled)
+        traced_sim, traced = one_run(disabled)
         disabled_elapsed = time.perf_counter() - started
 
         assert len(disabled) == 0
         assert len(traced.delivered) == len(baseline.delivered)
+        # The deterministic check: a disabled recorder schedules nothing.
+        assert base_sim.events_processed > 0
+        assert traced_sim.events_processed == base_sim.events_processed
         # Measured locally at <5%; the bound is loose for noisy CI boxes.
         assert disabled_elapsed < base_elapsed * 1.5 + 0.05
 

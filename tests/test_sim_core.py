@@ -268,3 +268,48 @@ class TestNegativeDelayLeavesEventPending:
         sim.run()
         assert seen == (["ok"] if how == "trigger" else ["boom"])
         assert sim.now == 0.5
+
+
+class TestCallEntries:
+    def test_cancelled_call_is_skipped_without_moving_clock_or_count(self, sim):
+        hits = []
+        doomed = sim.schedule_call(5.0, hits.append, "doomed")
+        sim.schedule_call(1.0, hits.append, "kept")
+        assert doomed.cancel() is doomed
+        doomed.cancel()  # idempotent until it has run
+        sim.run()
+        assert hits == ["kept"]
+        assert (sim.now, sim.events_processed) == (1.0, 1)
+        assert sim.pending_events() == 0
+
+    def test_processed_call_cannot_be_cancelled(self, sim):
+        call = sim.schedule_call_at(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            call.cancel()
+
+    def test_calls_and_events_at_one_instant_fire_in_scheduling_order(self, sim):
+        order = []
+        sim.schedule_call(1.0, order.append, "call-1")
+        sim.timeout(1.0).add_callback(lambda ev: order.append("timeout"))
+        sim.schedule_call_at(1.0, order.append, "call-at")
+        sim.event().trigger(delay=1.0).add_callback(
+            lambda ev: order.append("trigger")
+        )
+        sim.wake_at(1.0).add_callback(lambda ev: order.append("wake"))
+        sim.schedule_call(1.0, order.append, "call-2")
+        sim.run()
+        assert order == [
+            "call-1", "timeout", "call-at", "trigger", "wake", "call-2",
+        ]
+        assert sim.events_processed == 6
+
+    def test_negative_delay_rejected_before_anything_is_queued(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_call(-1e-9, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_call_at(-1.0, lambda: None)
+        assert sim.pending_events() == 0
+        sim.schedule_call(0.0, lambda: None)
+        sim.run()
+        assert sim.events_processed == 1
